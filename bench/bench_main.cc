@@ -156,6 +156,10 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // The global tracer buffers spans only for an export.
+    if (!trace_path.empty())
+        obs::PhaseTracer::global().setEnabled(true);
+
     // Optional live telemetry while the benches run (zero cost when
     // absent: neither the sampler thread nor the socket exists).
     if (serve_spec.empty()) {

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -101,6 +102,125 @@ bestKeyForFullBlock(std::span<const uint8_t> raw,
     return best;
 }
 
+/**
+ * The table scan's exact prefilter (DESIGN.md §15). A schedule step
+ * without SubWord is the pure XOR w[a] = w[a-Nk] ^ w[a-1], so the
+ * litmus check of block word i at such a step is popcount(s_i) with
+ * syndrome s_i = w[i] ^ w[i-1] ^ w[i-Nk]. Descrambling XORs the key
+ * in word by word and the syndrome is linear, so
+ * s_i(raw ^ key) = s_i(raw) ^ s_i(key): one syndrome per block and
+ * one per key, precomputed, replace the descramble.
+ *
+ * Which block words sit at linear steps depends on the placement only
+ * through its phase modulo Nk: one class for AES-128/256, three for
+ * AES-192. A class's linear checks are a subset of the checks of
+ * every placement in it, so a pair over the per-check or total
+ * budget on them fails all of those placements. A pair survives when
+ * any class passes; the survivors are a superset of the litmus hits.
+ */
+class LinearScreen
+{
+  public:
+    LinearScreen(const std::vector<std::array<uint32_t, 16>> &key_words,
+                 const SearchParams &params)
+        : nk(aesNk(params.key_size)), nkeys(key_words.size()),
+          max_per_check(params.litmus_max_bits_per_check),
+          max_total(params.litmus_max_bit_errors)
+    {
+        for (unsigned pl = 0; pl < aesLitmusPlacements(params.key_size);
+             ++pl) {
+            Class cls;
+            for (unsigned i = nk; i < 16; ++i)
+                if (crypto::aesStepIsLinear(4 * pl + i, nk))
+                    cls.positions.push_back(i);
+            bool seen = false;
+            for (const Class &c : classes)
+                seen = seen || c.positions == cls.positions;
+            if (seen)
+                continue;
+            cls.key_rows.resize(cls.positions.size() * nkeys);
+            for (size_t j = 0; j < cls.positions.size(); ++j)
+                for (size_t k = 0; k < nkeys; ++k)
+                    cls.key_rows[j * nkeys + k] =
+                        syndrome(key_words[k].data(), cls.positions[j]);
+            classes.push_back(std::move(cls));
+        }
+    }
+
+    /**
+     * Indices of the keys that may pass the litmus on the block whose
+     * raw words are @p raw, ascending. @p scratch is the caller's
+     * reusable storage; the span points into it.
+     */
+    std::span<const uint32_t>
+    survivors(const uint32_t raw[16], std::vector<uint32_t> &scratch) const
+    {
+        // Three segments: the union so far, one class's passes, and
+        // the merge target (swapped with the union after each class).
+        scratch.resize(3 * nkeys);
+        uint32_t *acc = scratch.data();
+        uint32_t *pass = acc + nkeys;
+        uint32_t *merged = pass + nkeys;
+        size_t n = 0;
+        for (const Class &cls : classes) {
+            uint32_t block_syn[16];
+            for (size_t j = 0; j < cls.positions.size(); ++j)
+                block_syn[j] = syndrome(raw, cls.positions[j]);
+            size_t got = simd::syndromeScreen(
+                block_syn, cls.key_rows.data(), nkeys, nkeys,
+                static_cast<unsigned>(cls.positions.size()),
+                max_per_check, max_total, pass);
+            n = static_cast<size_t>(
+                std::set_union(acc, acc + n, pass, pass + got, merged) -
+                merged);
+            std::swap(acc, merged);
+        }
+        return {acc, n};
+    }
+
+  private:
+    /** One placement-phase class: its linear block words and every
+     *  key's syndrome on them (row j = positions[j], one word per
+     *  key). */
+    struct Class
+    {
+        Class() = default;
+        Class(Class &&) = default;
+
+        /** Key syndromes are key material: scrub them on the way out. */
+        ~Class() { secureWipe(key_rows.data(), 4 * key_rows.size()); }
+
+        std::vector<unsigned> positions;
+        std::vector<uint32_t> key_rows;
+    };
+
+    uint32_t
+    syndrome(const uint32_t *w, unsigned i) const
+    {
+        return w[i] ^ w[i - 1] ^ w[i - nk];
+    }
+
+    unsigned nk;
+    size_t nkeys;
+    unsigned max_per_check;
+    unsigned max_total;
+    std::vector<Class> classes;
+};
+
+/**
+ * Scan grain: about 16 M (block, key) attempts per pool task, so a
+ * large key pool splits a scan finely enough to balance the pool,
+ * clamped to [4 KiB, 1 MiB] so a small pool's scan stays one task
+ * per MiB.
+ */
+uint64_t
+scanGrain(size_t nkeys)
+{
+    constexpr uint64_t kAttemptsPerTask = 1ull << 24;
+    uint64_t bytes = kAttemptsPerTask / std::max<size_t>(nkeys, 1) * 64;
+    return std::clamp<uint64_t>(bytes, 4096, 1ull << 20) & ~4095ull;
+}
+
 } // anonymous namespace
 
 unsigned
@@ -122,14 +242,6 @@ repairAesScheduleWords(std::span<uint32_t> words, unsigned first_word,
     // cleans up what the bit-level pass cannot see.
     size_t n = words.size();
     unsigned total_fixed = 0;
-
-    auto is_linear_step = [nk](unsigned a) {
-        if (a % nk == 0)
-            return false;
-        if (nk > 6 && a % nk == 4)
-            return false;
-        return true;
-    };
 
     for (unsigned sweep = 0; sweep < iterations; ++sweep) {
         // f applied to each word by the step that consumes it as
@@ -157,7 +269,7 @@ repairAesScheduleWords(std::span<uint32_t> words, unsigned first_word,
                     words[i + nk] ^ words[i] ^ f_of[i + nk - 1];
             }
             if (i + 1 < n && i + 1 >= nk && a + 1 >= nk &&
-                is_linear_step(a + 1)) {
+                crypto::aesStepIsLinear(a + 1, nk)) {
                 // Prev operand of an identity-f step.
                 viol[nchecks++] =
                     words[i + 1] ^ words[i + 1 - nk] ^ words[i];
@@ -354,52 +466,44 @@ reconstructAt(const exec::DumpSource &dump,
 
 } // anonymous namespace
 
-std::vector<RecoveredAesKey>
-searchAesKeyTables(const exec::DumpSource &dump,
-                   const std::vector<MinedKey> &candidate_keys,
-                   const SearchParams &params, SearchStats *stats)
+std::vector<AesTableHit>
+scanAesKeyTables(const exec::DumpSource &dump,
+                 const std::vector<MinedKey> &candidate_keys,
+                 const SearchParams &params, SearchStats *stats)
 {
-    auto t0 = std::chrono::steady_clock::now();
-    SearchStats local;
-
     uint64_t begin = params.scan_start & ~63ULL;
     uint64_t end = params.scan_bytes == 0
         ? dump.size()
         : std::min<uint64_t>(dump.size(),
                              params.scan_start + params.scan_bytes);
 
-    std::vector<RecoveredAesKey> results;
-    std::set<uint64_t> tried_offsets;
-    std::set<std::vector<uint8_t>> seen_masters;
-
     // Hot path: precompute every candidate key as packed schedule
-    // words; per block, load the raw words once and descramble with
-    // word XORs (the byte order cancels under XOR).
+    // words and linear-check syndromes; per block, load the raw words
+    // once, screen every key with the syndrome kernel and descramble
+    // only the survivors with word XORs (the byte order cancels under
+    // XOR).
     std::vector<std::array<uint32_t, 16>> key_words(
         candidate_keys.size());
     for (size_t k = 0; k < candidate_keys.size(); ++k)
         for (unsigned i = 0; i < 16; ++i)
             key_words[k][i] =
                 aesWordFromBytes(&candidate_keys[k].key[4 * i]);
+    const LinearScreen screen(key_words, params);
 
-    // Phase 1 - scan. The scan is embarrassingly parallel (the paper
-    // notes the search "is fully parallelizable"); it runs chunked
-    // on the work-stealing pool and the per-chunk hit lists are
-    // concatenated in ascending dump order, so the hit sequence -
-    // and everything derived from it - is byte-identical to a serial
-    // scan for any worker count.
-    struct Hit
-    {
-        uint64_t off;
-        unsigned start_word;
-    };
+    // The scan is embarrassingly parallel (the paper notes the search
+    // "is fully parallelizable"); it runs chunked on the work-stealing
+    // pool and the per-chunk hit lists are concatenated in ascending
+    // dump order, so the hit sequence - and everything derived from
+    // it - is byte-identical to a serial scan for any worker count.
     struct ChunkScan
     {
-        std::vector<Hit> hits;
+        std::vector<AesTableHit> hits;
         uint64_t blocks_scanned = 0;
         uint64_t attempts = 0;
+        uint64_t prefilter_passes = 0;
     };
-    std::vector<Hit> all_hits;
+    SearchStats local;
+    std::vector<AesTableHit> all_hits;
 
     // params.threads: 0 = the shared global pool, 1 = serial
     // in-line, N > 1 = a dedicated pool of N workers.
@@ -407,19 +511,19 @@ searchAesKeyTables(const exec::DumpSource &dump,
     if (params.threads > 1)
         own_pool = std::make_unique<exec::ThreadPool>(params.threads);
     bool sequential = params.threads == 1;
-    constexpr uint64_t kScanGrain = 1ull << 20;
 
-    // Progress covers the phase-1 scan (the dominant cost; phase-2
-    // reconstruction touches only the handful of litmus hits).
+    // Progress covers the scan (the dominant cost; reconstruction
+    // touches only the handful of litmus hits).
     auto progress = obs::ProgressTracker::global().startJob(
         "attack.search", end > begin ? end - begin : 0);
     {
         obs::ScopedSpan span("search.scan");
         exec::parallelMapReduceChunks<ChunkScan>(
-            begin, end, kScanGrain,
+            begin, end, scanGrain(candidate_keys.size()),
             [&](const exec::ChunkRange &c) {
                 exec::checkpointIfCancellable(params.cancel);
                 thread_local exec::ChunkBuffer buf;
+                thread_local std::vector<uint32_t> scratch;
                 dump.prefetch(c.begin, c.end - c.begin);
                 auto bytes =
                     dump.chunk(c.begin, c.end - c.begin, buf);
@@ -433,9 +537,10 @@ searchAesKeyTables(const exec::DumpSource &dump,
                     uint32_t raw_words[16];
                     for (unsigned i = 0; i < 16; ++i)
                         raw_words[i] = aesWordFromBytes(&raw[4 * i]);
-                    for (size_t ki = 0; ki < candidate_keys.size();
-                         ++ki) {
-                        ++out.attempts;
+                    out.attempts += candidate_keys.size();
+                    auto passed = screen.survivors(raw_words, scratch);
+                    out.prefilter_passes += passed.size();
+                    for (uint32_t ki : passed) {
                         // Entropy guard (plausibleScheduleEntropy):
                         // rejects zero blocks, padding and text. The
                         // descrambled weight is popcount(raw ^ key) -
@@ -458,7 +563,7 @@ searchAesKeyTables(const exec::DumpSource &dump,
                             params.litmus_max_bits_per_check);
                         if (hit)
                             out.hits.push_back(
-                                {c.begin + off, hit->start_word});
+                                {c.begin + off, ki, hit->start_word});
                     }
                 }
                 return out;
@@ -466,6 +571,7 @@ searchAesKeyTables(const exec::DumpSource &dump,
             [&](ChunkScan &&s, const exec::ChunkRange &c) {
                 local.blocks_scanned += s.blocks_scanned;
                 local.descramble_attempts += s.attempts;
+                local.prefilter_passes += s.prefilter_passes;
                 local.litmus_hits += s.hits.size();
                 all_hits.insert(all_hits.end(), s.hits.begin(),
                                 s.hits.end());
@@ -474,6 +580,26 @@ searchAesKeyTables(const exec::DumpSource &dump,
             own_pool.get(), sequential);
     }
     progress->finish();
+    if (stats)
+        *stats = local;
+    return all_hits;
+}
+
+std::vector<RecoveredAesKey>
+searchAesKeyTables(const exec::DumpSource &dump,
+                   const std::vector<MinedKey> &candidate_keys,
+                   const SearchParams &params, SearchStats *stats)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    SearchStats local;
+
+    std::vector<RecoveredAesKey> results;
+    std::set<uint64_t> tried_offsets;
+    std::set<std::vector<uint8_t>> seen_masters;
+
+    // Phase 1 - scan.
+    auto all_hits = scanAesKeyTables(dump, candidate_keys, params,
+                                     &local);
 
     // Phase 2 - reconstruct (serial; candidate offsets are few).
     // Round constants differ by only a bit or two, so the litmus
@@ -494,7 +620,7 @@ searchAesKeyTables(const exec::DumpSource &dump,
                     params.max_reconstructions)
                 break;
             int64_t table_off =
-                static_cast<int64_t>(hit.off) -
+                static_cast<int64_t>(hit.offset) -
                 4 * static_cast<int64_t>(s);
             if (table_off < 0)
                 continue;
@@ -552,6 +678,9 @@ searchAesKeyTables(const exec::DumpSource &dump,
     registry.counter("attack.search.descramble_attempts",
                      "(block, candidate-key) descramble attempts")
         .add(local.descramble_attempts);
+    registry.counter("attack.search.prefilter_passes",
+                     "attempts passing the linear-syndrome prefilter")
+        .add(local.prefilter_passes);
     registry.counter("attack.search.litmus_hits",
                      "blocks passing the AES key-schedule litmus")
         .add(local.litmus_hits);

@@ -3,7 +3,8 @@
  * AES key-table search over a scrambled dump (attack steps 2-4).
  *
  * For every 64-byte block of the dump and every mined candidate
- * scrambler key, the block is descrambled and fed to the AES key
+ * scrambler key, the pair is screened by an exact linear-syndrome
+ * prefilter, and the survivors are descrambled and fed to the AES key
  * litmus test. A hit pins the block to an absolute position inside an
  * expanded key schedule; the recurrence is then run forward and
  * backward to reconstruct the whole schedule - including words
@@ -103,13 +104,48 @@ struct SearchParams
 struct SearchStats
 {
     uint64_t blocks_scanned = 0;
+    /** (block, candidate key) pairs considered: every non-constant
+     *  block times every key. */
     uint64_t descramble_attempts = 0;
+    /** Attempts passing the linear-syndrome prefilter, the only ones
+     *  that reach the entropy guard and the litmus. */
+    uint64_t prefilter_passes = 0;
     uint64_t litmus_hits = 0;
     uint64_t reconstructions_tried = 0;
     uint64_t reconstructions_verified = 0;
     /** Wall-clock seconds spent scanning. */
     double seconds = 0.0;
 };
+
+/** One AES key litmus hit of the table scan. */
+struct AesTableHit
+{
+    /** Dump byte offset of the 64-byte block. */
+    uint64_t offset;
+    /** Index of the candidate key that descrambled it. */
+    uint32_t key_index;
+    /** Absolute schedule word of the block's first word (the best
+     *  placement, AesLitmusResult::start_word). */
+    unsigned start_word;
+
+    bool operator==(const AesTableHit &) const = default;
+};
+
+/**
+ * The table scan, phase 1 of searchAesKeyTables(): every (block,
+ * candidate key) pair of the scan range that passes the entropy guard
+ * and the AES key litmus. An exact linear-syndrome prefilter
+ * (DESIGN.md §15) rejects almost every pair before either runs, so
+ * the hits equal those of testing every pair.
+ *
+ * @param stats  Optional; receives the scan's blocks_scanned,
+ *               descramble_attempts, prefilter_passes and litmus_hits.
+ * @return Hits in ascending dump offset, then key index.
+ */
+std::vector<AesTableHit> scanAesKeyTables(
+    const exec::DumpSource &dump,
+    const std::vector<MinedKey> &candidate_keys,
+    const SearchParams &params = {}, SearchStats *stats = nullptr);
 
 /**
  * Search a scrambled dump for expanded AES key tables.

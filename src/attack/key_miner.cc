@@ -1,6 +1,7 @@
 #include "attack/key_miner.hh"
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <unordered_map>
 
@@ -22,30 +23,28 @@ namespace
 /**
  * A cluster of litmus-passing blocks believed to be decayed copies
  * of one scrambler key. Per-bit vote counts let the miner recover
- * the pristine key by majority even when every copy has flips.
+ * the pristine key by majority even when every copy has flips. The
+ * first member (the representative the distance scans compare
+ * against) is kept apart, in one contiguous array for all clusters.
  */
 struct Cluster
 {
     std::array<uint16_t, 512> one_votes{};
     size_t members = 0;
     uint64_t first_offset = 0;
-    std::array<uint8_t, 64> representative{};
 
     void
     add(std::span<const uint8_t> block, uint64_t offset)
     {
-        if (members == 0) {
+        if (members == 0)
             first_offset = offset;
-            std::copy(block.begin(), block.end(),
-                      representative.begin());
-        }
         for (unsigned bit = 0; bit < 512; ++bit)
             one_votes[bit] += (block[bit / 8] >> (bit % 8)) & 1;
         ++members;
     }
 
     std::array<uint8_t, 64>
-    majority() const
+    majority(const std::array<uint8_t, 64> &representative) const
     {
         // Per-bit majority vote; an exact tie (possible with an even
         // member count) falls back to the first-seen copy's bit -
@@ -88,8 +87,11 @@ boundedDistance(std::span<const uint8_t> a, std::span<const uint8_t> b,
 struct ChunkHits
 {
     /** (offset, block copy) - copied because buffered chunk views
-     *  are scratch memory invalidated by the next read. */
-    std::vector<std::pair<uint64_t, std::array<uint8_t, 64>>> hits;
+     *  are scratch memory invalidated by the next read. A deque:
+     *  a doubling vector reaches ~0.6 MiB per chunk, and freeing
+     *  such a block raises the allocator's mmap threshold, after
+     *  which later transient blocks stay resident across runs. */
+    std::deque<std::pair<uint64_t, std::array<uint8_t, 64>>> hits;
     uint64_t blocks_scanned = 0;
     uint64_t constant_dropped = 0;
 };
@@ -128,7 +130,14 @@ mineScramblerKeys(const exec::DumpSource &dump,
         scan_bytes = std::min<uint64_t>(scan_bytes,
                                         params.scan_limit_bytes);
 
-    std::vector<Cluster> clusters;
+    // Cluster records live in a deque, which never reallocates: a
+    // vector of 1,104-byte records doubles into a ~9 MiB block past
+    // 4,096 clusters, and once that block is freed the allocator
+    // keeps later transient blocks resident, so peak RSS drifts up
+    // across runs. The representatives the distance scans walk stay
+    // contiguous.
+    std::deque<Cluster> clusters;
+    std::vector<std::array<uint8_t, 64>> representatives;
     // Multi-index bucket map: a block joins a cluster quickly when
     // any of its eight 8-byte chunks is flip-free and matches the
     // cluster's first member chunk. Misses fall back to a linear
@@ -152,8 +161,7 @@ mineScramblerKeys(const exec::DumpSource &dump,
             if (it == buckets.end())
                 continue;
             for (size_t idx : it->second) {
-                if (boundedDistance(block,
-                                    clusters[idx].representative,
+                if (boundedDistance(block, representatives[idx],
                                     params.cluster_distance) <=
                     params.cluster_distance) {
                     home = idx;
@@ -163,9 +171,8 @@ mineScramblerKeys(const exec::DumpSource &dump,
         }
         if (home == SIZE_MAX) {
             // Fall back to a bounded linear scan.
-            for (size_t idx = 0; idx < clusters.size(); ++idx) {
-                if (boundedDistance(block,
-                                    clusters[idx].representative,
+            for (size_t idx = 0; idx < representatives.size(); ++idx) {
+                if (boundedDistance(block, representatives[idx],
                                     params.cluster_distance) <=
                     params.cluster_distance) {
                     home = idx;
@@ -175,6 +182,8 @@ mineScramblerKeys(const exec::DumpSource &dump,
         }
         if (home == SIZE_MAX) {
             clusters.emplace_back();
+            std::copy(block.begin(), block.end(),
+                      representatives.emplace_back().begin());
             home = clusters.size() - 1;
             for (unsigned c = 0; c < 8; ++c) {
                 uint64_t v = loadLE64(&block[8 * c]);
@@ -239,7 +248,7 @@ mineScramblerKeys(const exec::DumpSource &dump,
     // split one key across clusters when early copies were noisy).
     std::vector<std::array<uint8_t, 64>> majorities(clusters.size());
     for (size_t i = 0; i < clusters.size(); ++i)
-        majorities[i] = clusters[i].majority();
+        majorities[i] = clusters[i].majority(representatives[i]);
 
     std::vector<MinedKey> out;
     std::vector<bool> merged(clusters.size(), false);
@@ -279,10 +288,10 @@ mineScramblerKeys(const exec::DumpSource &dump,
     // Scrub the intermediate key copies (cluster representatives,
     // per-bit vote tallies, majority keys) before they are freed -
     // the reported MinedKeys scrub themselves on destruction.
-    for (auto &c : clusters) {
-        secureWipe(c.representative.data(), c.representative.size());
+    for (auto &c : clusters)
         secureWipe(c.one_votes.data(), sizeof(c.one_votes));
-    }
+    for (auto &r : representatives)
+        secureWipe(r.data(), r.size());
     for (auto &m : majorities)
         secureWipe(m.data(), m.size());
 

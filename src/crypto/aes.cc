@@ -147,6 +147,12 @@ aesScheduleStep(uint32_t prev, uint32_t back_nk, unsigned i, unsigned nk)
     return back_nk ^ temp;
 }
 
+bool
+aesStepIsLinear(unsigned i, unsigned nk)
+{
+    return i % nk != 0 && !(nk > 6 && i % nk == 4);
+}
+
 std::vector<uint8_t>
 aesExpandKey(std::span<const uint8_t> key)
 {

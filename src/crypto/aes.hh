@@ -109,6 +109,13 @@ uint32_t aesScheduleStep(uint32_t prev, uint32_t back_nk, unsigned i,
                          unsigned nk);
 
 /**
+ * Whether schedule step @p i applies no SubWord, i.e. is the pure XOR
+ * w[i] = w[i-Nk] ^ w[i-1]: every step except i % Nk == 0 and, for
+ * Nk > 6, i % Nk == 4.
+ */
+bool aesStepIsLinear(unsigned i, unsigned nk);
+
+/**
  * Continue a key schedule from an arbitrary window.
  *
  * Treats @p window (exactly Nk words) as schedule words

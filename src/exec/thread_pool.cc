@@ -156,6 +156,12 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> fn)
 {
+    submit(std::move(fn), nullptr);
+}
+
+void
+ThreadPool::submit(std::function<void()> fn, std::function<void()> done)
+{
     // Causal tracing: capture the submitting thread's span context
     // plus a fresh flow id, emit the flow start here (inside the
     // submitter's open span), and wrap the task so its run records
@@ -171,13 +177,18 @@ ThreadPool::submit(std::function<void()> fn)
         fn = [inner = std::move(fn), parent, flow]() mutable {
             obs::ScopedSpan span("exec.task", parent, flow);
             inner();
-            // Drop captured state before the span closes; the inner
-            // wrapper (TaskGroup) has already released user captures
-            // by the time it signals completion, and this keeps the
-            // tracing wrapper equally invisible to that contract.
+            // Drop captured state before the span closes, keeping the
+            // tracing wrapper invisible to the TaskGroup contract
+            // (captures are gone once wait() returns).
             inner = nullptr;
         };
     }
+    if (done)
+        fn = [inner = std::move(fn), done = std::move(done)]() mutable {
+            inner();
+            inner = nullptr;
+            done();
+        };
 
     unsigned target;
     if (tl_pool == this) {
@@ -468,23 +479,29 @@ ThreadPool::TaskGroup::run(std::function<void()> fn)
         std::lock_guard<std::mutex> lk(state->mu);
         ++state->outstanding;
     }
-    pool.submit([st = state, fn = std::move(fn)]() mutable {
-        try {
-            fn();
-        } catch (...) {
-            std::lock_guard<std::mutex> lk(st->mu);
-            if (!st->error)
-                st->error = std::current_exception();
-        }
-        // Destroy the captured callable before signaling completion:
-        // wait() returning guarantees task captures are gone.
-        fn = nullptr;
-        std::unique_lock<std::mutex> lk(st->mu);
-        size_t left = --st->outstanding;
-        lk.unlock();
-        if (left == 0)
-            st->cv.notify_all();
-    });
+    pool.submit(
+        [st = state, fn = std::move(fn)]() mutable {
+            try {
+                fn();
+            } catch (...) {
+                std::lock_guard<std::mutex> lk(st->mu);
+                if (!st->error)
+                    st->error = std::current_exception();
+            }
+            // Destroy the captured callable before signaling
+            // completion: wait() returning guarantees task captures
+            // are gone.
+            fn = nullptr;
+        },
+        // Completion is signalled after the task's trace span is
+        // recorded, so a trace exported once wait() returns has it.
+        [st = state] {
+            std::unique_lock<std::mutex> lk(st->mu);
+            size_t left = --st->outstanding;
+            lk.unlock();
+            if (left == 0)
+                st->cv.notify_all();
+        });
 }
 
 void

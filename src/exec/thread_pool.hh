@@ -225,6 +225,12 @@ class ThreadPool
   private:
     struct Worker;
 
+    /**
+     * submit() with a completion hook: @p done runs after @p fn and
+     * after the task's trace span is recorded, so a waiter released
+     * by @p done exports a trace that already holds the span.
+     */
+    void submit(std::function<void()> fn, std::function<void()> done);
     void workerMain(unsigned self);
     bool claimTask(unsigned self, std::function<void()> &out);
     void execute(unsigned self, std::function<void()> &task);

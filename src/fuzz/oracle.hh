@@ -38,6 +38,8 @@
  *   search-planted-schedule   AES search soundness (any recovered key
  *                             equals the planted master) and
  *                             completeness at zero decay
+ *   search-prefilter-exact    the prefiltered table scan's hits equal
+ *                             those of testing every (block, key) pair
  *   dump-backend-equality     mmap vs buffered vs memory DumpSource
  *                             byte equality on mutated dump files
  *   parallel-fingerprint      mine/search/pipeline results are

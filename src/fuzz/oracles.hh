@@ -23,7 +23,7 @@ void registerScramblerOracles(std::vector<const Oracle *> &out);
 void registerLitmusOracles(std::vector<const Oracle *> &out);
 
 /** miner-planted-keys, search-planted-schedule,
- *  parallel-fingerprint. */
+ *  search-prefilter-exact, parallel-fingerprint. */
 void registerAttackOracles(std::vector<const Oracle *> &out);
 
 /** dump-backend-equality. */

@@ -1,7 +1,8 @@
 /**
  * @file
  * Attack-pipeline oracles: the miner and the AES search checked
- * against dumps with *known* planted ground truth, plus the
+ * against dumps with *known* planted ground truth, the search's
+ * prefiltered scan against testing every pair, plus the
  * worker-count-independence fingerprint over the whole pipeline.
  *
  * Statistical care: at nonzero decay the attack is allowed to miss
@@ -18,6 +19,7 @@
 
 #include "attack/aes_search.hh"
 #include "attack/key_miner.hh"
+#include "attack/litmus.hh"
 #include "common/bits.hh"
 #include "crypto/sha256.hh"
 #include "exec/dump_io.hh"
@@ -260,6 +262,141 @@ class SearchPlantedScheduleOracle final : public Oracle
 };
 
 /**
+ * search-prefilter-exact: the table scan's linear-syndrome prefilter
+ * is exact. scanAesKeyTables() must return exactly the hits of the
+ * unscreened loop it replaced - the entropy guard and the byte-level
+ * AES litmus on every (block, key) pair - for all three key sizes and
+ * random litmus budgets. Near-threshold pairs come from decayed
+ * planted schedules and from candidates that are the true scramble
+ * key with a few flipped bits.
+ */
+class SearchPrefilterExactOracle final : public Oracle
+{
+  public:
+    const char *name() const override
+    {
+        return "search-prefilter-exact";
+    }
+
+    const char *
+    description() const override
+    {
+        return "the prefiltered AES table scan finds exactly the hits "
+               "of testing every (block, key) pair";
+    }
+
+    unsigned smokeStride() const override { return 2; }
+
+    OracleResult
+    run(const FuzzCaseParams &params) const override
+    {
+        OracleResult res;
+        CaseRng rng(params.seed);
+
+        FuzzDumpSpec spec;
+        spec.bytes = static_cast<uint64_t>(32 * 1024)
+                     << params.scale;
+        spec.planted_keys = 1 + static_cast<unsigned>(rng.below(3));
+        spec.plant_schedule = true;
+        spec.schedule_size = rng.pick(
+            {crypto::AesKeySize::Aes128, crypto::AesKeySize::Aes192,
+             crypto::AesKeySize::Aes256});
+        spec.decay_fraction = rng.pick({0.0, 0.01, 0.02, 0.04});
+        FuzzDump dump = buildFuzzDump(rng, spec);
+        mutateBytes(dump.bytes, rng, params.energy * 4,
+                    dump.planted_regions);
+        res.feature(crypto::aesNk(spec.schedule_size));
+
+        // The true key, near copies of it and pool decoys.
+        std::vector<MinedKey> candidates;
+        const auto &truth = dump.schedule->scramble_key;
+        candidates.emplace_back(truth, 3, 0);
+        unsigned near = 1 + static_cast<unsigned>(rng.below(6));
+        for (unsigned n = 0; n < near; ++n) {
+            std::array<uint8_t, 64> key = truth;
+            for (uint64_t f = rng.below(25); f > 0; --f)
+                key[rng.below(64)] ^=
+                    static_cast<uint8_t>(1u << rng.below(8));
+            candidates.emplace_back(key, 2, 0);
+        }
+        memctrl::Ddr4Scrambler scrambler(dump.scrambler_seed, 0);
+        for (uint64_t d = rng.below(3); d > 0; --d) {
+            std::array<uint8_t, 64> key;
+            scrambler.poolKey(static_cast<unsigned>(rng.below(4096)),
+                              key.data());
+            candidates.emplace_back(key, 2, 64);
+        }
+
+        SearchParams sp;
+        sp.key_size = spec.schedule_size;
+        sp.threads = 1; // cases already run in parallel
+        sp.litmus_max_bit_errors = static_cast<unsigned>(rng.below(129));
+        sp.litmus_max_bits_per_check =
+            static_cast<unsigned>(rng.below(34));
+        attack::SearchStats stats;
+        exec::MemoryDumpSource source(dump.bytes);
+        auto hits =
+            attack::scanAesKeyTables(source, candidates, sp, &stats);
+
+        std::vector<attack::AesTableHit> want;
+        uint64_t attempts = 0;
+        for (uint64_t off = 0; off + 64 <= dump.bytes.size();
+             off += 64) {
+            std::span<const uint8_t> raw(&dump.bytes[off], 64);
+            if (attack::isConstantBlock(raw))
+                continue;
+            for (uint32_t k = 0; k < candidates.size(); ++k) {
+                ++attempts;
+                std::array<uint8_t, 64> plain;
+                for (unsigned i = 0; i < 64; ++i)
+                    plain[i] = raw[i] ^ candidates[k].key[i];
+                if (!attack::plausibleScheduleEntropy(plain))
+                    continue;
+                auto hit = attack::aesKeyLitmus(
+                    plain, sp.key_size, sp.litmus_max_bit_errors,
+                    sp.litmus_max_bits_per_check);
+                if (hit)
+                    want.push_back({off, k, hit->start_word});
+            }
+        }
+
+        if (hits != want) {
+            size_t i = 0;
+            while (i < hits.size() && i < want.size() &&
+                   hits[i] == want[i])
+                ++i;
+            res.fail("prefiltered scan has " +
+                     std::to_string(hits.size()) + " hits, every-pair "
+                     "scan " + std::to_string(want.size()) +
+                     "; first difference at hit " + std::to_string(i) +
+                     " (budgets " +
+                     std::to_string(sp.litmus_max_bit_errors) + "/" +
+                     std::to_string(sp.litmus_max_bits_per_check) +
+                     ")");
+            return res;
+        }
+        if (stats.descramble_attempts != attempts ||
+            stats.litmus_hits != want.size() ||
+            stats.prefilter_passes < want.size() ||
+            stats.prefilter_passes > attempts) {
+            res.fail("scan funnel counts inconsistent: attempts " +
+                     std::to_string(stats.descramble_attempts) + "/" +
+                     std::to_string(attempts) + ", prefilter passes " +
+                     std::to_string(stats.prefilter_passes) +
+                     ", hits " + std::to_string(stats.litmus_hits));
+            return res;
+        }
+        res.feature(10 + static_cast<uint32_t>(
+                             std::min<size_t>(want.size(), 8)));
+        // Pairs the screen let through and the litmus (or the
+        // entropy guard) rejected: the near-threshold cases.
+        if (stats.prefilter_passes > want.size())
+            res.feature(20);
+        return res;
+    }
+};
+
+/**
  * parallel-fingerprint: the miner and the search produce
  * byte-identical output at any worker count - serial in-line vs a
  * dedicated pool of k workers - on the same adversarial dump. This
@@ -289,8 +426,9 @@ class ParallelFingerprintOracle final : public Oracle
         CaseRng rng(params.seed);
 
         FuzzDumpSpec spec;
-        // Several scan chunks (the grain is 1 MiB) so the pool has
-        // real work to hand out in racy order.
+        // Several scan chunks (the miner's grain is 1 MiB; the
+        // search's is at most that) so the pool has real work to
+        // hand out in racy order.
         spec.bytes = static_cast<uint64_t>(2 * 1024 * 1024)
                      << params.scale;
         spec.planted_keys = 3;
@@ -351,6 +489,7 @@ class ParallelFingerprintOracle final : public Oracle
 
 const MinerPlantedKeysOracle miner_oracle;
 const SearchPlantedScheduleOracle search_oracle;
+const SearchPrefilterExactOracle prefilter_oracle;
 const ParallelFingerprintOracle fingerprint_oracle;
 
 } // anonymous namespace
@@ -360,6 +499,7 @@ registerAttackOracles(std::vector<const Oracle *> &out)
 {
     out.push_back(&miner_oracle);
     out.push_back(&search_oracle);
+    out.push_back(&prefilter_oracle);
     out.push_back(&fingerprint_oracle);
 }
 

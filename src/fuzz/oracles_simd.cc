@@ -167,6 +167,26 @@ class SimdVsScalarOracle final : public Oracle
             std::vector<uint8_t> ref_decay(rep0);
             uint64_t ref_flips = scalar.decay_apply_ground(
                 ref_decay.data(), ground.data(), rep_n);
+            // Syndrome screen: key syndromes a few bits from the
+            // block's, budgets around the per-check edge.
+            size_t nkeys = rng.below(70);
+            unsigned nchecks = static_cast<unsigned>(rng.below(10));
+            unsigned per = static_cast<unsigned>(rng.below(34));
+            unsigned total = static_cast<unsigned>(rng.below(200));
+            std::vector<uint32_t> block_syn(nchecks);
+            std::vector<uint32_t> key_syn(nchecks * nkeys);
+            rng.fill({reinterpret_cast<uint8_t *>(block_syn.data()),
+                      4 * block_syn.size()});
+            for (size_t i = 0; i < key_syn.size(); ++i) {
+                uint32_t w = block_syn[i / std::max<size_t>(nkeys, 1)];
+                for (uint64_t f = rng.below(per + 4); f > 0; --f)
+                    w ^= 1u << rng.below(32);
+                key_syn[i] = w;
+            }
+            std::vector<uint32_t> ref_pass(nkeys);
+            ref_pass.resize(scalar.syndrome_screen(
+                block_syn.data(), key_syn.data(), nkeys, nkeys,
+                nchecks, per, total, ref_pass.data()));
             for (auto be : backends) {
                 const auto &k = simd::kernels(be);
                 const char *bn = simd::backendName(be);
@@ -191,6 +211,16 @@ class SimdVsScalarOracle final : public Oracle
                     res.fail(std::string(
                                  "decay_apply_ground diverges: ") +
                              bn + " n=" + std::to_string(rep_n));
+                    return res;
+                }
+                std::vector<uint32_t> pass(nkeys);
+                pass.resize(k.syndrome_screen(
+                    block_syn.data(), key_syn.data(), nkeys, nkeys,
+                    nchecks, per, total, pass.data()));
+                if (pass != ref_pass) {
+                    res.fail(std::string("syndrome_screen diverges: ") +
+                             bn + " nkeys=" + std::to_string(nkeys) +
+                             " nchecks=" + std::to_string(nchecks));
                     return res;
                 }
             }

@@ -74,6 +74,8 @@ ObsHttpServer::start(std::string *error)
         return true;
     if (!listener.open(opts.bind, error))
         return false;
+    // GET /trace exports the global tracer, so it must buffer spans.
+    PhaseTracer::global().setEnabled(true);
 
     stopping.store(false, std::memory_order_release);
     loop_pool = std::make_unique<exec::ThreadPool>(1);

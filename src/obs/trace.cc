@@ -114,6 +114,11 @@ PhaseTracer::global()
         if (const char *v = std::getenv("COLDBOOT_PROFILE_SPANS");
             v && *v && std::strcmp(v, "0") != 0)
             setSpanPerfEnabled(true);
+        // Buffer spans only when something will export them: the
+        // COLDBOOT_TRACE file here; `--trace` and the /trace endpoint
+        // arm the tracer where they are configured.
+        const char *trace = std::getenv("COLDBOOT_TRACE");
+        instance.setEnabled(trace != nullptr && *trace != '\0');
         return true;
     }();
     (void)env_checked;

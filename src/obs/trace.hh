@@ -103,11 +103,12 @@ struct TraceShard
 };
 
 /**
- * Thread-safe recorder of spans and flow events. Recording is
- * enabled by default and cheap (an uncontended per-thread mutex push
- * per event; spans are per-phase or per-pool-task, not per-block);
- * shards are bounded so a runaway loop cannot exhaust memory, and
- * events lost to the bound are counted, never silently dropped.
+ * Thread-safe recorder of spans and flow events. Recording is cheap
+ * (an uncontended per-thread mutex push per event; spans are
+ * per-phase or per-pool-task, not per-block); shards are bounded so
+ * a runaway loop cannot exhaust memory, and events lost to the bound
+ * are counted, never silently dropped. A tracer records from
+ * construction, except the global one (see global()).
  */
 class PhaseTracer
 {
@@ -121,7 +122,14 @@ class PhaseTracer
     PhaseTracer(const PhaseTracer &) = delete;
     PhaseTracer &operator=(const PhaseTracer &) = delete;
 
-    /** The process-global tracer instance. */
+    /**
+     * The process-global tracer instance. It buffers events only once
+     * armed by a sink that will export them - COLDBOOT_TRACE, a
+     * binary's `--trace`, or an ObsHttpServer serving /trace - so a
+     * long-lived process with no sink does not accumulate spans.
+     * Unarmed spans still time themselves and feed the flight
+     * recorder and span perf attribution.
+     */
     static PhaseTracer &global();
 
     void setEnabled(bool on) { recording = on; }

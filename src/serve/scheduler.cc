@@ -309,6 +309,7 @@ JobScheduler::finishJob(const std::shared_ptr<Job> &job,
     --running_;
     --inflight_tasks_;
     charged_bytes_ -= job->charge;
+    retireLocked(job);
     switch (state) {
     case JobState::Done:
         count("serve.jobs.completed", "jobs finished successfully");
@@ -322,6 +323,16 @@ JobScheduler::finishJob(const std::shared_ptr<Job> &job,
     }
     pump();
     terminal_cv_.notify_all();
+}
+
+void
+JobScheduler::retireLocked(const std::shared_ptr<Job> &job)
+{
+    terminal_.push_back(job->id);
+    while (terminal_.size() > keptTerminal) {
+        jobs_.erase(terminal_.front());
+        terminal_.pop_front();
+    }
 }
 
 JobStatus
@@ -407,6 +418,7 @@ JobScheduler::cancel(uint64_t job_id)
         }
         job->state = JobState::Cancelled;
         count("serve.jobs.cancelled", "jobs cancelled");
+        retireLocked(job);
         terminal_cv_.notify_all();
         return true;
     }
@@ -429,6 +441,7 @@ JobScheduler::drain(bool cancel_running)
         for (auto &job : q) {
             job->state = JobState::Cancelled;
             count("serve.jobs.cancelled", "jobs cancelled");
+            retireLocked(job);
         }
     }
     queues_.clear();

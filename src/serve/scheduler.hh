@@ -18,7 +18,10 @@
  *    mmap_threshold_bytes are forced onto the buffered-pread backend
  *    so a multi-GiB capture never mmaps wholesale into the daemon.
  *    One job is always admitted when none is running - the budget
- *    shapes concurrency, it cannot deadlock the queue.
+ *    shapes concurrency, it cannot deadlock the queue;
+ *  - bounded retention: finished jobs stay queryable up to
+ *    keptTerminal of them, oldest evicted first, so a long-lived
+ *    daemon's job table does not grow with every job it ever ran.
  *
  * Dump paths are validated at submit time (existing regular file,
  * non-empty, 64-byte aligned) precisely because the library treats a
@@ -75,6 +78,13 @@ struct SchedulerOptions
 class JobScheduler
 {
   public:
+    /**
+     * Terminal jobs retained for status() and waitResult(); past it
+     * the oldest-finished is forgotten. Queued and running jobs are
+     * always kept.
+     */
+    static constexpr size_t keptTerminal = 256;
+
     explicit JobScheduler(SchedulerOptions opts = {});
 
     JobScheduler(const JobScheduler &) = delete;
@@ -93,7 +103,8 @@ class JobScheduler
     /** Status of one job. */
     std::optional<JobStatus> status(uint64_t job_id);
 
-    /** Status of every retained job, id order. */
+    /** Status of every retained job (all live ones plus the
+     *  keptTerminal most recently finished), id order. */
     std::vector<JobStatus> list();
 
     /**
@@ -132,6 +143,9 @@ class JobScheduler
     void runJob(const std::shared_ptr<Job> &job);
     void finishJob(const std::shared_ptr<Job> &job, JobState state,
                    const std::string &error);
+    /** Record @p job as terminal and evict past keptTerminal; lock_
+     *  must be held. */
+    void retireLocked(const std::shared_ptr<Job> &job);
     JobStatus statusLocked(const std::shared_ptr<Job> &job);
     uint64_t chargeBytes(uint64_t dump_size) const;
     size_t queuedJobsLocked() const;
@@ -141,8 +155,11 @@ class JobScheduler
     std::condition_variable terminal_cv_;
     uint64_t next_id_ = 1;
     bool draining_ = false;
-    /** All jobs ever submitted, by id (retained for status/result). */
+    /** Retained jobs by id: every live job and the newest terminal
+     *  ones (status/result). */
     std::map<uint64_t, std::shared_ptr<Job>> jobs_;
+    /** Terminal job ids, oldest-finished first. */
+    std::deque<uint64_t> terminal_;
     /** Per-client FIFO queues of not-yet-admitted jobs. */
     std::map<std::string, std::deque<std::shared_ptr<Job>>> queues_;
     /** Round-robin cursor over queues_ (client_id last admitted). */

@@ -1,10 +1,11 @@
 /**
  * @file
  * AVX2 kernels: 32-byte vector XOR sweeps, the Mula nibble-LUT
- * popcount (vpshufb against a 0..4 table, accumulated with vpsadbw)
- * and a fully vectorized scrambler-litmus row score. Tails shorter
- * than one vector delegate to the scalar reference, so no kernel
- * ever reads past the logical length.
+ * popcount (vpshufb against a 0..4 table, accumulated with vpsadbw),
+ * a fully vectorized scrambler-litmus row score and a syndrome screen
+ * of eight keys per vector. Tails shorter than one vector delegate to
+ * the scalar reference, so no kernel ever reads past the logical
+ * length.
  *
  * The TU is compiled with -mavx2 when the toolchain supports it;
  * without that flag __AVX2__ is undefined and the accessor degrades
@@ -16,6 +17,9 @@
 #if defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <bit>
 
 namespace coldboot::simd::detail
 {
@@ -256,12 +260,74 @@ avx2DecayApplyGround(uint8_t *data, const uint8_t *ground, size_t n)
                        data + i, ground + i, n - i);
 }
 
+/** Per-lane popcount of eight 32-bit words. */
+inline __m256i
+popcount32(__m256i v)
+{
+    // Byte counts -> 16-bit pair sums -> 32-bit lane sums.
+    return _mm256_madd_epi16(
+        _mm256_maddubs_epi16(popcountBytes(v), _mm256_set1_epi8(1)),
+        _mm256_set1_epi16(1));
+}
+
+size_t
+avx2SyndromeScreen(const uint32_t *block_syn, const uint32_t *key_syn,
+                   size_t stride, size_t nkeys, unsigned nchecks,
+                   unsigned max_per_check, unsigned max_total,
+                   uint32_t *out)
+{
+    // Eight keys per vector. Lane compares are signed, so clamp the
+    // budgets to what a popcount can reach: a larger one never binds.
+    const __m256i per = _mm256_set1_epi32(
+        static_cast<int>(std::min(max_per_check, 32u)));
+    const __m256i total = _mm256_set1_epi32(static_cast<int>(
+        std::min<uint64_t>(max_total, 32ull * nchecks)));
+    const __m256i all = _mm256_set1_epi32(-1);
+    size_t passed = 0;
+    size_t k = 0;
+    // Two checks run unconditionally: on random data some lane of
+    // eight still passes after one check 57 % of the time but after
+    // two only 9 %, so the early exit is predictable from there on.
+    const unsigned first = std::min(nchecks, 2u);
+    for (; k + 8 <= nkeys; k += 8) {
+        __m256i sum = _mm256_setzero_si256();
+        __m256i fail = _mm256_setzero_si256();
+        auto check = [&](unsigned j) {
+            __m256i bits = popcount32(_mm256_xor_si256(
+                _mm256_set1_epi32(static_cast<int>(block_syn[j])),
+                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+                    key_syn + j * stride + k))));
+            sum = _mm256_add_epi32(sum, bits);
+            fail = _mm256_or_si256(fail, _mm256_cmpgt_epi32(bits, per));
+        };
+        unsigned j = 0;
+        for (; j < first; ++j)
+            check(j);
+        for (; j < nchecks && !_mm256_testc_si256(fail, all); ++j)
+            check(j);
+        fail = _mm256_or_si256(fail, _mm256_cmpgt_epi32(sum, total));
+        unsigned pass = ~static_cast<unsigned>(_mm256_movemask_ps(
+                            _mm256_castsi256_ps(fail))) &
+                        0xffu;
+        for (; pass != 0; pass &= pass - 1)
+            out[passed++] =
+                static_cast<uint32_t>(k + std::countr_zero(pass));
+    }
+    size_t tail = scalarKernels().syndrome_screen(
+        block_syn, key_syn + k, stride, nkeys - k, nchecks,
+        max_per_check, max_total, out + passed);
+    for (size_t i = passed; i < passed + tail; ++i)
+        out[i] += static_cast<uint32_t>(k);
+    return passed + tail;
+}
+
 constexpr Kernels avx2_table = {
     avx2XorBytes,       avx2XorInto,
     avx2XorRepeatKey64, avx2HammingDistance,
     avx2HammingBounded, avx2HammingWeight,
     avx2MaskedMismatch, avx2IsConstant,
     avx2ScramblerLitmusScore64, avx2DecayApplyGround,
+    avx2SyndromeScreen,
 };
 
 } // anonymous namespace

@@ -14,6 +14,7 @@
 
 #include <emmintrin.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -272,12 +273,72 @@ sse2DecayApplyGround(uint8_t *data, const uint8_t *ground, size_t n)
                        data + i, ground + i, n - i);
 }
 
+/** Per-lane popcount of four 32-bit words (byte counts folded). */
+inline __m128i
+popcount32(__m128i v)
+{
+    v = popcountBytes(v);
+    v = _mm_add_epi32(v, _mm_srli_epi32(v, 8));
+    v = _mm_add_epi32(v, _mm_srli_epi32(v, 16));
+    return _mm_and_si128(v, _mm_set1_epi32(0x3f));
+}
+
+size_t
+sse2SyndromeScreen(const uint32_t *block_syn, const uint32_t *key_syn,
+                   size_t stride, size_t nkeys, unsigned nchecks,
+                   unsigned max_per_check, unsigned max_total,
+                   uint32_t *out)
+{
+    // Four keys per vector; budgets clamped for the signed compares
+    // and the first two checks unconditional, as in the AVX2 kernel.
+    const __m128i per = _mm_set1_epi32(
+        static_cast<int>(std::min(max_per_check, 32u)));
+    const __m128i total = _mm_set1_epi32(static_cast<int>(
+        std::min<uint64_t>(max_total, 32ull * nchecks)));
+    size_t passed = 0;
+    size_t k = 0;
+    const unsigned first = std::min(nchecks, 2u);
+    for (; k + 4 <= nkeys; k += 4) {
+        __m128i sum = _mm_setzero_si128();
+        __m128i fail = _mm_setzero_si128();
+        auto check = [&](unsigned j) {
+            __m128i bits = popcount32(_mm_xor_si128(
+                _mm_set1_epi32(static_cast<int>(block_syn[j])),
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                    key_syn + j * stride + k))));
+            sum = _mm_add_epi32(sum, bits);
+            fail = _mm_or_si128(fail, _mm_cmpgt_epi32(bits, per));
+        };
+        unsigned j = 0;
+        for (; j < first; ++j)
+            check(j);
+        for (; j < nchecks &&
+               _mm_movemask_ps(_mm_castsi128_ps(fail)) != 0xf;
+             ++j)
+            check(j);
+        fail = _mm_or_si128(fail, _mm_cmpgt_epi32(sum, total));
+        unsigned pass = ~static_cast<unsigned>(
+                            _mm_movemask_ps(_mm_castsi128_ps(fail))) &
+                        0xfu;
+        for (; pass != 0; pass &= pass - 1)
+            out[passed++] =
+                static_cast<uint32_t>(k + std::countr_zero(pass));
+    }
+    size_t tail = scalarKernels().syndrome_screen(
+        block_syn, key_syn + k, stride, nkeys - k, nchecks,
+        max_per_check, max_total, out + passed);
+    for (size_t i = passed; i < passed + tail; ++i)
+        out[i] += static_cast<uint32_t>(k);
+    return passed + tail;
+}
+
 constexpr Kernels sse2_table = {
     sse2XorBytes,       sse2XorInto,
     sse2XorRepeatKey64, sse2HammingDistance,
     sse2HammingBounded, sse2HammingWeight,
     sse2MaskedMismatch, sse2IsConstant,
     sse2ScramblerLitmusScore64, sse2DecayApplyGround,
+    sse2SyndromeScreen,
 };
 
 } // anonymous namespace

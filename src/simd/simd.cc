@@ -195,12 +195,35 @@ scalarDecayApplyGround(uint8_t *data, const uint8_t *ground, size_t n)
     return flips;
 }
 
+size_t
+scalarSyndromeScreen(const uint32_t *block_syn, const uint32_t *key_syn,
+                     size_t stride, size_t nkeys, unsigned nchecks,
+                     unsigned max_per_check, unsigned max_total,
+                     uint32_t *out)
+{
+    size_t passed = 0;
+    for (size_t k = 0; k < nkeys; ++k) {
+        unsigned total = 0;
+        bool ok = true;
+        for (unsigned j = 0; j < nchecks && ok; ++j) {
+            unsigned bits = static_cast<unsigned>(
+                std::popcount(block_syn[j] ^ key_syn[j * stride + k]));
+            total += bits;
+            ok = bits <= max_per_check;
+        }
+        if (ok && total <= max_total)
+            out[passed++] = static_cast<uint32_t>(k);
+    }
+    return passed;
+}
+
 constexpr Kernels scalar_table = {
     scalarXorBytes,       scalarXorInto,
     scalarXorRepeatKey64, scalarHammingDistance,
     scalarHammingBounded, scalarHammingWeight,
     scalarMaskedMismatch, scalarIsConstant,
     scalarScramblerLitmusScore64, scalarDecayApplyGround,
+    scalarSyndromeScreen,
 };
 
 /** The compiled table for a backend, or nullptr. */

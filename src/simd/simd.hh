@@ -5,8 +5,9 @@
  *
  * Every hot loop in the pipeline — the scrambler litmus scan, the
  * reboot-XOR descramble, the AES litmus Hamming comparisons, the
- * miner's cluster distances and the decay application — is a
- * XOR-and-popcount sweep over 64-byte blocks. This layer provides
+ * AES table scan's syndrome screen, the miner's cluster distances and
+ * the decay application — is a XOR-and-popcount sweep over 64-byte
+ * blocks or their syndrome words. This layer provides
  * those sweeps as a small kernel table with three interchangeable
  * implementations (scalar, SSE2, AVX2; a NEON seam is stubbed for
  * aarch64 ports) selected once at startup.
@@ -129,6 +130,24 @@ struct Kernels
      */
     uint64_t (*decay_apply_ground)(uint8_t *data,
                                    const uint8_t *ground, size_t n);
+
+    /**
+     * Linear-syndrome screen: one block's syndrome against a batch of
+     * keys' syndromes (the AES table scan's exact prefilter, DESIGN.md
+     * §15). @p key_syn holds @p nchecks rows of @p stride words in
+     * structure-of-arrays form: key k's word j is
+     * key_syn[j * stride + k]. Key k passes when
+     * popcount(block_syn[j] ^ key_syn[j * stride + k]) is at most
+     * @p max_per_check for every j and the sum over j is at most
+     * @p max_total. Writes the passing indices (relative to key_syn,
+     * ascending) to @p out, which must hold @p nkeys entries, and
+     * returns their count.
+     */
+    size_t (*syndrome_screen)(const uint32_t *block_syn,
+                              const uint32_t *key_syn, size_t stride,
+                              size_t nkeys, unsigned nchecks,
+                              unsigned max_per_check,
+                              unsigned max_total, uint32_t *out);
 };
 
 /** Stable lower-case backend name ("scalar", "sse2", "avx2"). */
@@ -274,6 +293,18 @@ inline uint64_t
 decayApplyGround(uint8_t *data, const uint8_t *ground, size_t n)
 {
     return activeKernels().decay_apply_ground(data, ground, n);
+}
+
+inline size_t
+syndromeScreen(const uint32_t *block_syn, const uint32_t *key_syn,
+               size_t stride, size_t nkeys, unsigned nchecks,
+               unsigned max_per_check, unsigned max_total,
+               uint32_t *out)
+{
+    return activeKernels().syndrome_screen(block_syn, key_syn, stride,
+                                           nkeys, nchecks,
+                                           max_per_check, max_total,
+                                           out);
 }
 
 } // namespace coldboot::simd

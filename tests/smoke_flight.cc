@@ -39,6 +39,7 @@
 #include "platform/coldboot.hh"
 #include "platform/machine.hh"
 #include "platform/workload.hh"
+#include "trace_check.hh"
 #include "volume/veracrypt_volume.hh"
 
 using namespace coldboot;
@@ -134,19 +135,8 @@ filterDeterministic(const std::string &output)
     return result;
 }
 
-double
-numField(const obs::json::Value &ev, const char *key)
-{
-    const auto *v = ev.find(key);
-    return v != nullptr ? v->number : -1.0;
-}
-
-std::string
-strField(const obs::json::Value &ev, const char *key)
-{
-    const auto *v = ev.find(key);
-    return v != nullptr ? v->str : std::string();
-}
+using tracecheck::numField;
+using tracecheck::strField;
 
 /**
  * Structural validation of the Chrome trace a pool-width-4 attack
@@ -177,49 +167,25 @@ traceStructureTest(const std::string &tool,
 
     // Index the events: slices by span id, flow starts/finishes by
     // flow-binding id.
-    std::map<std::string, const obs::json::Value *> slice_by_span;
-    std::map<std::string, int> flow_starts, flow_finishes;
-    std::map<std::string, const obs::json::Value *> finish_by_id;
+    auto idx = tracecheck::indexTrace(*doc);
+    const auto &slice_by_span = idx.slice_by_span;
     std::vector<const obs::json::Value *> task_slices;
     size_t named_spans = 0;
-    bool fields_ok = true;
-
-    for (const auto &ev : doc->array) {
-        std::string ph = strField(ev, "ph");
-        if (strField(ev, "name").empty() || ph.empty() ||
-            ev.find("ts") == nullptr || ev.find("pid") == nullptr ||
-            ev.find("tid") == nullptr)
-            fields_ok = false;
-        if (ph == "X") {
-            const auto *args = ev.find("args");
-            if (args == nullptr || args->find("span") == nullptr ||
-                ev.find("dur") == nullptr) {
-                fields_ok = false;
-                continue;
-            }
-            slice_by_span[args->find("span")->str] = &ev;
-            if (strField(ev, "name") == "exec.task")
-                task_slices.push_back(&ev);
-            else
-                ++named_spans;
-        } else if (ph == "s") {
-            ++flow_starts[strField(ev, "id")];
-        } else if (ph == "f") {
-            ++flow_finishes[strField(ev, "id")];
-            finish_by_id[strField(ev, "id")] = &ev;
-            if (strField(ev, "bp") != "e")
-                fields_ok = false;
-        } else {
-            fields_ok = false;
-        }
+    for (const auto &[span, ev] : slice_by_span) {
+        if (strField(*ev, "name") == "exec.task")
+            task_slices.push_back(ev);
+        else
+            ++named_spans;
     }
-    check(fields_ok, "every event carries the required fields");
+    check(idx.fields_ok, "every event carries the required fields");
+    check(idx.flows_paired,
+          "every flow id has exactly one s/f pair");
     check(!task_slices.empty(),
           "pool tasks recorded as exec.task slices");
     check(named_spans > 0, "phase spans recorded alongside tasks");
 
-    // Every pool task must be linked: exactly one flow start at its
-    // submit site and one flow finish bound inside the task slice.
+    // Every pool task must be linked: a flow start at its submit
+    // site and a flow finish bound inside the task slice.
     bool all_linked = true;
     bool finish_in_slice = true;
     bool causality_ordered = true;
@@ -228,12 +194,12 @@ traceStructureTest(const std::string &tool,
         const auto *args = task->find("args");
         std::string flow = args != nullptr ? strField(*args, "flow")
                                            : std::string();
-        if (flow.empty() || flow_starts[flow] != 1 ||
-            flow_finishes[flow] != 1) {
+        if (flow.empty() || idx.flow_start.count(flow) == 0 ||
+            idx.flow_finish.count(flow) == 0) {
             all_linked = false;
             continue;
         }
-        const auto *fin = finish_by_id[flow];
+        const auto *fin = idx.flow_finish.at(flow);
         double ts = numField(*task, "ts");
         double dur = numField(*task, "dur");
         if (numField(*fin, "tid") != numField(*task, "tid") ||
@@ -243,19 +209,16 @@ traceStructureTest(const std::string &tool,
         // The flow start happens at submission, strictly no later
         // than the finish stamped inside the running task.
         // (Identical timestamps are possible at µs resolution.)
-        for (const auto &ev : doc->array)
-            if (strField(ev, "ph") == "s" &&
-                strField(ev, "id") == flow &&
-                numField(ev, "ts") > numField(*fin, "ts"))
-                causality_ordered = false;
+        if (numField(*idx.flow_start.at(flow), "ts") >
+            numField(*fin, "ts"))
+            causality_ordered = false;
         std::string parent =
             args != nullptr ? strField(*args, "parent")
                             : std::string();
         if (parent != "0x0" && slice_by_span.count(parent) != 0)
             ++parented_tasks;
     }
-    check(all_linked,
-          "every exec.task has exactly one s/f flow pair");
+    check(all_linked, "every exec.task has a linked s/f flow");
     check(finish_in_slice,
           "flow finish lands inside its task slice, same tid");
     check(causality_ordered, "flow start precedes flow finish");

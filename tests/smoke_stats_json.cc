@@ -7,9 +7,11 @@
  *
  *  - the stats file parses and carries the required keys, with
  *    `attack.pipeline.bytes_scanned` nonzero;
- *  - the trace file parses as a bare array of Chrome complete events
- *    ({"name","ph","ts","dur","pid","tid"}) containing the mine /
- *    search / pair stage spans.
+ *  - the trace file parses as a bare array of Chrome trace events:
+ *    complete slices ({"name","ph":"X","ts","dur","pid","tid"})
+ *    containing the mine / search / pair stage spans, plus flow
+ *    start/finish pairs wherever pool tasks were submitted (checked
+ *    by the trace_check.hh validator smoke_flight shares).
  *
  * Usage: smoke_stats_json <path-to-coldboot-tool>
  */
@@ -28,6 +30,7 @@
 #include "platform/coldboot.hh"
 #include "platform/machine.hh"
 #include "platform/workload.hh"
+#include "trace_check.hh"
 #include "volume/veracrypt_volume.hh"
 
 using namespace coldboot;
@@ -142,20 +145,14 @@ main(int argc, char **argv)
     check(trace.has_value(), "trace JSON parses");
     if (trace) {
         check(trace->isArray(), "trace JSON is a bare array");
+        auto idx = tracecheck::indexTrace(*trace);
+        check(idx.fields_ok, "every trace event has name/ph/ts/pid/tid "
+                             "(slices: dur and span id)");
+        check(idx.flows_paired,
+              "every flow id has exactly one s/f pair");
         std::set<std::string> names;
-        bool fields_ok = !trace->array.empty();
-        for (const auto &ev : trace->array) {
-            const auto *name = ev.find("name");
-            const auto *ph = ev.find("ph");
-            fields_ok = fields_ok && ev.isObject() && name && ph &&
-                        ph->str == "X" && ev.find("ts") &&
-                        ev.find("dur") && ev.find("pid") &&
-                        ev.find("tid");
-            if (name)
-                names.insert(name->str);
-        }
-        check(fields_ok,
-              "every trace event has name/ph=X/ts/dur/pid/tid");
+        for (const auto &[span, ev] : idx.slice_by_span)
+            names.insert(tracecheck::strField(*ev, "name"));
         for (const char *span : {"mine", "search", "pair",
                                  "attack.pipeline"})
             check(names.count(span) == 1, span);

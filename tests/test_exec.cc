@@ -33,6 +33,7 @@
 #include "exec/dump_io.hh"
 #include "exec/thread_pool.hh"
 #include "memctrl/scrambler.hh"
+#include "obs/trace.hh"
 #include "platform/memory_image.hh"
 #include "simd/simd.hh"
 
@@ -131,6 +132,35 @@ TEST(ThreadPool, ExceptionPropagatesToWait)
     // wait() returns only after every task completed, exception or
     // not - the group is reusable state-wise and all tasks ran.
     EXPECT_EQ(ran.load(), 64);
+}
+
+TEST(ThreadPool, TaskSpansAreRecordedBeforeWaitReturns)
+{
+    // A trace exported right after wait() must hold every task's
+    // span and flow finish: completion is signalled only after the
+    // task's span is recorded.
+    auto &tracer = obs::PhaseTracer::global();
+    tracer.setEnabled(true);
+    ThreadPool pool(4);
+    for (int round = 0; round < 100; ++round) {
+        tracer.resetForTest();
+        ThreadPool::TaskGroup group(pool);
+        for (int i = 0; i < 16; ++i)
+            group.run([] {});
+        group.wait();
+        size_t starts = 0, finishes = 0, slices = 0;
+        for (const auto &ev : tracer.events()) {
+            starts += ev.phase == obs::TraceEvent::Phase::FlowStart;
+            finishes += ev.phase == obs::TraceEvent::Phase::FlowFinish;
+            slices += ev.phase == obs::TraceEvent::Phase::Complete &&
+                      ev.name == "exec.task";
+        }
+        EXPECT_EQ(starts, 16u) << "round " << round;
+        EXPECT_EQ(finishes, 16u) << "round " << round;
+        EXPECT_EQ(slices, 16u) << "round " << round;
+    }
+    tracer.setEnabled(false);
+    tracer.resetForTest();
 }
 
 TEST(ThreadPool, NestedSubmitsDoNotDeadlock)

@@ -379,7 +379,7 @@ TEST(Corpus, CheckedInCorpusReplaysClean)
 TEST(OracleRegistry, CatalogueIsWellFormed)
 {
     const auto &oracles = allOracles();
-    ASSERT_EQ(oracles.size(), 11u);
+    ASSERT_EQ(oracles.size(), 12u);
     std::set<std::string> names;
     for (const Oracle *o : oracles) {
         EXPECT_TRUE(names.insert(o->name()).second)

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -35,6 +36,7 @@
 #include "exec/dump_io.hh"
 #include "exec/thread_pool.hh"
 #include "memctrl/scrambler.hh"
+#include "obs/trace.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/scheduler.hh"
@@ -644,6 +646,86 @@ TEST(ServeScheduler, UnknownIdsAreHandled)
     EXPECT_FALSE(sched.waitResult(1, &res));
     EXPECT_FALSE(sched.cancel(1));
     EXPECT_TRUE(sched.list().empty());
+}
+
+TEST(ServeScheduler, RetainsOnlyTheNewestFinishedJobs)
+{
+    // A closed-loop client runs more jobs than the bound: status
+    // after result keeps working, and the oldest finished jobs are
+    // forgotten instead of piling up.
+    TempFile dump(attackDumpBytes(KiB(64)));
+    JobScheduler sched;
+    JobSpec spec;
+    spec.kind = JobKind::Mine;
+    spec.dump_path = dump.path;
+    const size_t total = JobScheduler::keptTerminal + 8;
+    std::vector<uint64_t> ids;
+    for (size_t i = 0; i < total; ++i) {
+        std::string error;
+        uint64_t id = sched.submit(spec, &error);
+        ASSERT_NE(id, 0u) << error;
+        JobResult res;
+        ASSERT_TRUE(sched.waitResult(id, &res));
+        ASSERT_EQ(res.state, JobState::Done);
+        auto st = sched.status(id);
+        ASSERT_TRUE(st.has_value());
+        EXPECT_EQ(st->state, JobState::Done);
+        ids.push_back(id);
+    }
+    EXPECT_EQ(sched.list().size(), JobScheduler::keptTerminal);
+    EXPECT_FALSE(sched.status(ids[7]).has_value());
+    EXPECT_TRUE(sched.status(ids[8]).has_value());
+    JobResult res;
+    EXPECT_FALSE(sched.waitResult(ids[0], &res));
+}
+
+TEST(ServeScheduler, RetentionNeverEvictsLiveJobs)
+{
+    // Two slow jobs hold the single slot and the queue head while
+    // more jobs than the bound are queued and cancelled behind them.
+    TempFile slow(attackDumpBytes(MiB(16), 64, 4));
+    TempFile dump(attackDumpBytes(KiB(64)));
+    SchedulerOptions opts;
+    opts.max_concurrent_jobs = 1;
+    JobScheduler sched(opts);
+    uint64_t running = submitAttack(sched, slow.path);
+    uint64_t queued = submitAttack(sched, slow.path);
+    std::vector<uint64_t> cancelled;
+    for (size_t i = 0; i < JobScheduler::keptTerminal + 8; ++i) {
+        uint64_t id = submitAttack(sched, dump.path);
+        ASSERT_TRUE(sched.cancel(id));
+        cancelled.push_back(id);
+    }
+    EXPECT_TRUE(sched.status(running).has_value());
+    EXPECT_TRUE(sched.status(queued).has_value());
+    for (size_t i = 0; i < 8; ++i)
+        EXPECT_FALSE(sched.status(cancelled[i]).has_value()) << i;
+    EXPECT_TRUE(sched.status(cancelled.back()).has_value());
+    sched.shutdown();
+}
+
+TEST(ServeScheduler, UnsinkedJobsBufferNoTraceEvents)
+{
+    // The global tracer records only for an export (--trace,
+    // COLDBOOT_TRACE, a served /trace); in-process jobs without one
+    // must not buffer spans.
+    if (const char *env = std::getenv("COLDBOOT_TRACE"); env && *env)
+        GTEST_SKIP() << "COLDBOOT_TRACE arms the tracer";
+    auto &tracer = obs::PhaseTracer::global();
+    TempFile dump(attackDumpBytes(MiB(1)));
+    JobScheduler sched;
+    JobResult res;
+    ASSERT_TRUE(sched.waitResult(submitAttack(sched, dump.path), &res));
+    EXPECT_EQ(res.state, JobState::Done);
+    EXPECT_FALSE(tracer.enabled());
+    EXPECT_EQ(tracer.eventCount(), 0u);
+
+    // Armed, the same job is traced as before.
+    tracer.setEnabled(true);
+    ASSERT_TRUE(sched.waitResult(submitAttack(sched, dump.path), &res));
+    EXPECT_GT(tracer.eventCount(), 0u);
+    tracer.setEnabled(false);
+    tracer.resetForTest();
 }
 
 //

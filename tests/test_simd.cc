@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
@@ -363,6 +364,85 @@ TEST(SimdKernels, DecayApplyGroundCountsAndOverwrites)
                 << simd::backendName(be) << " n=" << n;
         }
     }
+}
+
+/** Independent screen reference: every check, no early exit. */
+std::vector<uint32_t>
+naiveScreen(const std::vector<uint32_t> &block_syn,
+            const std::vector<uint32_t> &key_syn, size_t stride,
+            size_t nkeys, unsigned per_check, unsigned total)
+{
+    std::vector<uint32_t> out;
+    for (size_t k = 0; k < nkeys; ++k) {
+        uint64_t sum = 0;
+        bool ok = true;
+        for (size_t j = 0; j < block_syn.size(); ++j) {
+            unsigned bits = static_cast<unsigned>(
+                std::popcount(block_syn[j] ^ key_syn[j * stride + k]));
+            sum += bits;
+            ok = ok && bits <= per_check;
+        }
+        if (ok && sum <= total)
+            out.push_back(static_cast<uint32_t>(k));
+    }
+    return out;
+}
+
+TEST(SimdKernels, SyndromeScreenSweepMatchesNaive)
+{
+    // Key counts 0-67 cover every vector tail (8 and 4 keys per
+    // vector); per-check and total budgets sit on and around their
+    // edges, and each key's check words differ from the block's by a
+    // bit count drawn around the per-check budget.
+    auto backends = usableBackends();
+    Xoshiro256StarStar rng(0x5CEE);
+    const unsigned kNone = ~0u;
+    size_t cases = 0, passes = 0;
+    for (unsigned nchecks : {0u, 1u, 6u, 9u}) {
+        for (unsigned per : {0u, 1u, 12u, 31u, 32u, kNone}) {
+            for (size_t nkeys = 0; nkeys <= 67; ++nkeys) {
+                size_t stride = nkeys + rng.nextBelow(3);
+                std::vector<uint32_t> block_syn(nchecks);
+                std::vector<uint32_t> key_syn(nchecks * stride);
+                for (unsigned j = 0; j < nchecks; ++j) {
+                    block_syn[j] = static_cast<uint32_t>(rng.next());
+                    for (size_t k = 0; k < stride; ++k) {
+                        unsigned centre = std::min(per, 32u);
+                        unsigned want = std::min(
+                            (centre >= 2 ? centre - 2 : 0) +
+                                static_cast<unsigned>(rng.nextBelow(4)),
+                            32u);
+                        uint32_t flips = 0;
+                        while (static_cast<unsigned>(
+                                   std::popcount(flips)) < want)
+                            flips |= 1u << rng.nextBelow(32);
+                        key_syn[j * stride + k] = block_syn[j] ^ flips;
+                    }
+                }
+                for (unsigned total :
+                     {0u, 1u, 12u, 63u, 64u, 65u, 192u, kNone}) {
+                    auto want = naiveScreen(block_syn, key_syn, stride,
+                                            nkeys, per, total);
+                    ++cases;
+                    passes += want.size();
+                    for (auto be : backends) {
+                        std::vector<uint32_t> out(nkeys);
+                        size_t n = simd::kernels(be).syndrome_screen(
+                            block_syn.data(), key_syn.data(), stride,
+                            nkeys, nchecks, per, total, out.data());
+                        out.resize(n);
+                        EXPECT_EQ(out, want)
+                            << simd::backendName(be)
+                            << " nkeys=" << nkeys
+                            << " nchecks=" << nchecks
+                            << " per=" << per << " total=" << total;
+                    }
+                }
+            }
+        }
+    }
+    // The sweep must exercise both outcomes, not just rejections.
+    EXPECT_GT(passes, cases);
 }
 
 //

@@ -184,6 +184,9 @@ main(int argc, char **argv)
 
     std::signal(SIGINT, onTerminateSignal);
     std::signal(SIGTERM, onTerminateSignal);
+    // The global tracer buffers spans only for an export.
+    if (!trace_path.empty())
+        obs::PhaseTracer::global().setEnabled(true);
 
     opts.bind = bind;
     serve::JobServer server(opts);

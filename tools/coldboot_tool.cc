@@ -486,6 +486,9 @@ main(int argc, char **argv)
     // an interrupted run still leaves its stats/trace behind.
     g_stats_path = stats_path;
     g_trace_path = trace_path;
+    // The global tracer buffers spans only for an export.
+    if (!trace_path.empty())
+        obs::PhaseTracer::global().setEnabled(true);
     std::signal(SIGINT, onTerminateSignal);
     std::signal(SIGTERM, onTerminateSignal);
 
