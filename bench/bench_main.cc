@@ -17,18 +17,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "obs/bench.hh"
 #include "obs/fsio.hh"
-#include "obs/http.hh"
-#include "obs/sampler.hh"
-#include "obs/stats.hh"
-#include "obs/trace.hh"
+#include "obs/runtime.hh"
 
 using namespace coldboot;
 using namespace coldboot::obs::bench;
@@ -52,13 +47,8 @@ usage()
         "  --repetitions N       measured repetitions per bench\n"
         "  --warmup N            discarded warmup runs per bench\n"
         "  --out FILE            write consolidated BENCH.json\n"
-        "  --stats-json FILE     write the stats registry JSON\n"
-        "  --trace FILE          write Chrome trace_event JSON\n"
-        "  --serve-obs [ADDR:]PORT\n"
-        "                        serve live telemetry over HTTP while"
-        " benches run\n"
-        "                        (also via COLDBOOT_SERVE_OBS)\n"
         "  --quiet               mute bench table/figure output\n");
+    std::fputs(obs::Runtime::usage, stderr);
     return 2;
 }
 
@@ -67,11 +57,16 @@ usage()
 int
 main(int argc, char **argv)
 {
+    obs::Runtime runtime(argc, argv);
+    if (!runtime.error().empty()) {
+        std::fprintf(stderr, "%s\n", runtime.error().c_str());
+        return usage();
+    }
     RunConfig config;
     bool list_only = false;
     bool reps_set = false, warmup_set = false;
     std::vector<std::string> filters;
-    std::string out_path, stats_path, trace_path, serve_spec;
+    std::string out_path;
 
     auto needValue = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
@@ -105,12 +100,6 @@ main(int argc, char **argv)
             warmup_set = true;
         } else if (arg == "--out") {
             out_path = needValue(i);
-        } else if (arg == "--stats-json") {
-            stats_path = needValue(i);
-        } else if (arg == "--trace") {
-            trace_path = needValue(i);
-        } else if (arg == "--serve-obs") {
-            serve_spec = needValue(i);
         } else if (arg == "--quiet") {
             config.quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -156,36 +145,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // The global tracer buffers spans only for an export.
-    if (!trace_path.empty())
-        obs::PhaseTracer::global().setEnabled(true);
-
-    // Optional live telemetry while the benches run (zero cost when
-    // absent: neither the sampler thread nor the socket exists).
-    if (serve_spec.empty()) {
-        if (const char *env = std::getenv("COLDBOOT_SERVE_OBS");
-            env && *env)
-            serve_spec = env;
-    }
-    std::unique_ptr<obs::TelemetrySampler> sampler;
-    std::unique_ptr<obs::ObsHttpServer> server;
-    if (!serve_spec.empty()) {
-        obs::ServeSpec spec;
-        std::string error;
-        if (!obs::parseServeSpec(serve_spec, &spec, &error))
-            cb_fatal("--serve-obs: %s", error.c_str());
-        sampler = std::make_unique<obs::TelemetrySampler>();
-        sampler->start();
-        obs::ObsHttpServer::Options opts;
-        opts.bind = spec;
-        opts.sampler = sampler.get();
-        server = std::make_unique<obs::ObsHttpServer>(opts);
-        if (!server->start(&error))
-            cb_fatal("--serve-obs: %s", error.c_str());
-        std::printf("serving observability on http://%s:%u/\n",
-                    server->address().c_str(), server->port());
-        std::fflush(stdout);
-    }
+    runtime.start(obs::Runtime::OnSignal::FlushAndExit);
 
     std::printf("coldboot-bench: %zu bench(es), profile %s, "
                 "%d repetition(s), %d warmup(s)\n\n",
@@ -215,10 +175,5 @@ main(int argc, char **argv)
                     out_path.c_str(), benchJsonSchemaVersion,
                     env.git_sha.c_str());
     }
-    if (!stats_path.empty())
-        obs::StatRegistry::global().writeJsonFile(stats_path);
-    if (!trace_path.empty())
-        obs::PhaseTracer::global().writeTraceFile(trace_path);
-    obs::flushEnvRequestedOutputs();
     return 0;
 }

@@ -139,8 +139,8 @@ BenchContext::report(const std::string &key, double value,
                      const std::string &desc)
 {
     report_map[key] = Report{value, desc};
-    // The same figure through the PR-1 registry, so --stats-json /
-    // COLDBOOT_STATS_JSON exports carry it too.
+    // The same figure through the registry, so --stats-json exports
+    // carry it too.
     StatRegistry::global().setScalar("bench." + key, value, desc);
 }
 

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "obs/fsio.hh"
 #include "obs/json.hh"
-#include "obs/trace.hh"
 
 namespace coldboot::obs
 {
@@ -418,17 +416,6 @@ void
 StatRegistry::writeJsonFile(const std::string &path) const
 {
     writeFileCreatingDirs(path, dumpJson(), "stats output");
-}
-
-void
-flushEnvRequestedOutputs()
-{
-    if (const char *path = std::getenv("COLDBOOT_STATS_JSON");
-        path && *path)
-        StatRegistry::global().writeJsonFile(path);
-    if (const char *path = std::getenv("COLDBOOT_TRACE");
-        path && *path)
-        PhaseTracer::global().writeTraceFile(path);
 }
 
 } // namespace coldboot::obs

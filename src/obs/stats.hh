@@ -243,16 +243,6 @@ class StatRegistry
     std::chrono::steady_clock::time_point epoch;
 };
 
-/**
- * Honor the COLDBOOT_STATS_JSON / COLDBOOT_TRACE environment
- * variables: when set, write the global registry's JSON dump and the
- * global tracer's Chrome trace to the named files. Benches call this
- * once before exiting so `COLDBOOT_STATS_JSON=BENCH_x.json bench_x`
- * produces the machine-readable figures through the same code path
- * the CLI flags use.
- */
-void flushEnvRequestedOutputs();
-
 } // namespace coldboot::obs
 
 #endif // COLDBOOT_OBS_STATS_HH

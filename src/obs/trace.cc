@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "obs/flight.hh"
@@ -109,19 +107,11 @@ PhaseTracer::~PhaseTracer() = default;
 PhaseTracer &
 PhaseTracer::global()
 {
+    // Disarmed until a sink that will export it arms it: `--trace`
+    // (obs::Runtime) or a server serving /trace.
     static PhaseTracer instance;
-    static bool env_checked = [] {
-        if (const char *v = std::getenv("COLDBOOT_PROFILE_SPANS");
-            v && *v && std::strcmp(v, "0") != 0)
-            setSpanPerfEnabled(true);
-        // Buffer spans only when something will export them: the
-        // COLDBOOT_TRACE file here; `--trace` and the /trace endpoint
-        // arm the tracer where they are configured.
-        const char *trace = std::getenv("COLDBOOT_TRACE");
-        instance.setEnabled(trace != nullptr && *trace != '\0');
-        return true;
-    }();
-    (void)env_checked;
+    static const bool disarmed = (instance.setEnabled(false), true);
+    (void)disarmed;
     return instance;
 }
 

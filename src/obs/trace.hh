@@ -124,8 +124,8 @@ class PhaseTracer
 
     /**
      * The process-global tracer instance. It buffers events only once
-     * armed by a sink that will export them - COLDBOOT_TRACE, a
-     * binary's `--trace`, or an ObsHttpServer serving /trace - so a
+     * armed by a sink that will export them - a binary's `--trace`
+     * (runtime.hh) or an ObsHttpServer serving /trace - so a
      * long-lived process with no sink does not accumulate spans.
      * Unarmed spans still time themselves and feed the flight
      * recorder and span perf attribution.

@@ -15,8 +15,9 @@
  *  - cancel a running job mid-flight and watch it reach `cancelled`
  *    without disturbing anything else;
  *  - SIGTERM the daemon while a job is in flight: it must drain,
- *    flush the --stats-json artifact and exit 128+SIGTERM, with the
- *    serve.jobs.* counters accounting for every submission.
+ *    flush the --stats-json and --trace artifacts and exit
+ *    128+SIGTERM, with the serve.jobs.* counters accounting for
+ *    every submission.
  *
  * Usage: smoke_serve <coldboot-served> <coldboot-client>
  *        <coldboot-tool>
@@ -41,6 +42,7 @@
 #include "crypto/aes.hh"
 #include "memctrl/scrambler.hh"
 #include "obs/json.hh"
+#include "trace_check.hh"
 
 using namespace coldboot;
 
@@ -230,13 +232,14 @@ struct Daemon
  * same pipe as the port announcement.
  */
 Daemon
-launchDaemon(const std::string &served, const std::string &stats_path)
+launchDaemon(const std::string &served, const std::string &stats_path,
+             const std::string &trace_path)
 {
     Daemon d;
     std::string cmd = "\"" + served +
                       "\" --port 127.0.0.1:0 --max-jobs 3"
                       " --stats-json \"" +
-                      stats_path +
+                      stats_path + "\" --trace \"" + trace_path +
                       "\" 2>/dev/null & echo \"daemonpid $!\";"
                       " wait $!; echo \"daemonrc $?\"";
     std::printf("+ %s\n", cmd.c_str());
@@ -274,9 +277,11 @@ main(int argc, char **argv)
     const std::string dump_path = "smoke_serve_dump.img";
     const std::string slow_path = "smoke_serve_slow_dump.img";
     const std::string stats_path = "smoke_serve_stats.json";
+    const std::string trace_path = "smoke_serve_trace.json";
     const std::string cli_plain = "smoke_serve_cli_plain.img";
     const std::string srv_plain = "smoke_serve_srv_plain.img";
     std::remove(stats_path.c_str());
+    std::remove(trace_path.c_str());
     writeAttackDump(dump_path, MiB(4));
     // Many planted keys make mining + search slow enough that the
     // cancel and SIGTERM legs below always land mid-job.
@@ -304,7 +309,7 @@ main(int argc, char **argv)
           "one-shot descramble reported a digest");
 
     // The daemon, on an ephemeral port announced via stdout.
-    Daemon daemon = launchDaemon(served, stats_path);
+    Daemon daemon = launchDaemon(served, stats_path, trace_path);
     check(daemon.pipe != nullptr, "daemon subprocess launched");
     check(daemon.pid > 0, "daemon pid reported");
     check(daemon.port != 0, "ephemeral port announced on stdout");
@@ -475,6 +480,15 @@ main(int argc, char **argv)
             check(statValue(*doc, "serve.requests") > 0.0,
                   "serve.requests counted");
         }
+    }
+
+    // The trace was flushed on the same drain path.
+    {
+        auto doc = obs::json::parseFile(trace_path);
+        check(doc.has_value(), "--trace artifact parses");
+        if (doc)
+            check(tracecheck::indexTrace(*doc).fields_ok,
+                  "trace holds well-formed events");
     }
 
     std::remove(dump_path.c_str());

@@ -369,15 +369,17 @@ determinismTest(const std::string &tool, const std::string &dump_path)
     };
     const std::string base = "\"" + tool + "\" attack \"" + dump_path +
                              "\"";
-    // Serve-obs exercised through both the flag and the environment
-    // hook; port 0 keeps parallel ctest runs from colliding.
+    // Serve-obs after and before the command (the flag is accepted
+    // at any position); port 0 keeps parallel ctest runs from
+    // colliding.
     std::vector<Variant> variants = {
         {"threads=1 serve=off", base + " --threads 1"},
-        {"threads=1 serve=flag",
+        {"threads=1 serve=on",
          base + " --threads 1 --serve-obs 127.0.0.1:0"},
         {"threads=4 serve=off", base + " --threads 4"},
-        {"threads=4 serve=env",
-         "COLDBOOT_SERVE_OBS=127.0.0.1:0 " + base + " --threads 4"},
+        {"threads=4 serve=on",
+         "\"" + tool + "\" --serve-obs 127.0.0.1:0 attack \"" +
+             dump_path + "\" --threads 4"},
     };
 
     std::string reference;

@@ -3,9 +3,9 @@
  * Live telemetry plane tests: ring-buffer storage, sampler
  * delta/EWMA math, Prometheus text rendering + validation, the
  * progress/ETA tracker, the json::escape control-char/UTF-8
- * contract, and the embedded HTTP server exercised over real
- * sockets - including a concurrent-scrape suite that TSan runs in
- * CI against live counter traffic.
+ * contract, the obs::Runtime flag bootstrap, and the embedded HTTP
+ * server exercised over real sockets - including a concurrent-scrape
+ * suite that TSan runs in CI against live counter traffic.
  */
 
 #include <arpa/inet.h>
@@ -16,6 +16,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -25,12 +28,15 @@
 
 #include "exec/thread_pool.hh"
 #include "obs/export.hh"
+#include "obs/flight.hh"
 #include "obs/http.hh"
 #include "obs/json.hh"
 #include "obs/progress.hh"
+#include "obs/runtime.hh"
 #include "obs/sampler.hh"
 #include "obs/stats.hh"
 #include "obs/timeseries.hh"
+#include "obs/trace.hh"
 
 using namespace coldboot;
 using namespace coldboot::obs;
@@ -514,6 +520,121 @@ TEST(JsonEscape, InvalidUtf8Replaced)
               fffd + fffd + fffd + fffd);
     // Valid text around the damage survives.
     EXPECT_EQ(json::escape("a\x80z"), "a" + fffd + "z");
+}
+
+//
+// obs::Runtime: the flags + sinks bootstrap the binaries share
+//
+
+namespace
+{
+
+/** A mutable, null-terminated argv over @p args, as main() gets. */
+struct Argv
+{
+    explicit Argv(std::vector<std::string> args) : store(std::move(args))
+    {
+        for (auto &a : store)
+            ptrs.push_back(a.data());
+        ptrs.push_back(nullptr);
+        argc = static_cast<int>(store.size());
+    }
+
+    std::vector<std::string>
+    left() const
+    {
+        return {ptrs.begin(), ptrs.begin() + argc};
+    }
+
+    std::vector<std::string> store;
+    std::vector<char *> ptrs;
+    int argc = 0;
+};
+
+std::string
+tempPath(const std::string &name)
+{
+    return (std::filesystem::temp_directory_path() /
+            (name + "_" + std::to_string(::getpid()) + ".json"))
+        .string();
+}
+
+} // anonymous namespace
+
+TEST(ObsRuntime, StripsSharedFlagsAnywhere)
+{
+    Argv args({"prog", "--trace", "t.json", "attack",
+               "--profile-spans", "d.img", "--threads", "4",
+               "--stats-json", "s.json", "--serve-obs", "0", "tail",
+               "--flight-record", "f.json"});
+    Runtime runtime(args.argc, args.ptrs.data());
+    EXPECT_EQ(runtime.error(), "");
+    EXPECT_EQ(args.left(),
+              (std::vector<std::string>{"prog", "attack", "d.img",
+                                        "--threads", "4", "tail"}));
+    EXPECT_EQ(args.ptrs[args.argc], nullptr);
+}
+
+TEST(ObsRuntime, FlagMissingItsValueIsAUsageError)
+{
+    for (const char *flag : {"--stats-json", "--trace", "--serve-obs",
+                             "--flight-record"}) {
+        Argv args({"prog", "attack", flag});
+        Runtime runtime(args.argc, args.ptrs.data());
+        EXPECT_NE(runtime.error().find(flag), std::string::npos)
+            << flag;
+    }
+}
+
+TEST(ObsRuntime, OnlyFlagsArmTheSinks)
+{
+    // The environment switches these flags replaced arm nothing. This
+    // is the process's first use of the global tracer (ctest runs
+    // each test alone, and no earlier test in this file touches it).
+    const std::vector<std::string> retired = {
+        "STATS_JSON", "TRACE", "PROFILE_SPANS", "FLIGHT_RECORD",
+        "SERVE_OBS"};
+    for (const auto &name : retired)
+        ::setenv(("COLDBOOT_" + name).c_str(), "1", 1);
+    PhaseTracer &tracer = PhaseTracer::global();
+    EXPECT_FALSE(tracer.enabled());
+    EXPECT_FALSE(PhaseTracer::spanPerfEnabled());
+
+    const std::string stats_path = tempPath("runtime_stats");
+    {
+        Argv args({"prog", "--stats-json", stats_path});
+        Runtime runtime(args.argc, args.ptrs.data());
+        runtime.start(Runtime::OnSignal::Record);
+        EXPECT_FALSE(tracer.enabled());
+        EXPECT_FALSE(FlightRecorder::global().enabled());
+        ScopedSpan("runtime.unsinked").stop();
+        EXPECT_EQ(tracer.eventCount(), 0u);
+    }
+    for (const auto &name : retired)
+        ::unsetenv(("COLDBOOT_" + name).c_str());
+    // Destruction wrote the file the flag asked for.
+    EXPECT_TRUE(json::parseFile(stats_path).has_value());
+
+    const std::string trace_path = tempPath("runtime_trace");
+    {
+        Argv args({"prog", "--trace", trace_path});
+        Runtime runtime(args.argc, args.ptrs.data());
+        runtime.start(Runtime::OnSignal::Record);
+        EXPECT_TRUE(tracer.enabled());
+        ScopedSpan("runtime.sinked").stop();
+        runtime.finish();
+    }
+    auto trace = json::parseFile(trace_path);
+    ASSERT_TRUE(trace.has_value());
+    bool found = false;
+    for (const auto &ev : trace->array)
+        found = found || ev.find("name")->str == "runtime.sinked";
+    EXPECT_TRUE(found);
+
+    tracer.setEnabled(false);
+    tracer.resetForTest();
+    std::remove(stats_path.c_str());
+    std::remove(trace_path.c_str());
 }
 
 //

@@ -20,23 +20,16 @@
  * A second signal kills the process immediately.
  */
 
-#include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 
 #include "common/logging.hh"
 #include "exec/thread_pool.hh"
-#include "obs/flight.hh"
-#include "obs/http.hh"
-#include "obs/sampler.hh"
-#include "obs/stats.hh"
-#include "obs/trace.hh"
+#include "obs/runtime.hh"
+#include "obs/tcp_listener.hh"
 #include "serve/server.hh"
 
 using namespace coldboot;
@@ -64,32 +57,9 @@ usage()
         "                        buffered pread (default 1024)\n"
         "  --handlers <n>        concurrent client connections\n"
         "                        (default 4)\n"
-        "  --serve-obs <[addr:]port>\n"
-        "                        also serve the observability HTTP\n"
-        "                        plane (/metrics /progress ...)\n"
-        "  --stats-json <file>   write the stats registry as JSON on\n"
-        "                        exit (and on SIGINT/SIGTERM)\n"
-        "  --trace <file>        write phase spans as Chrome\n"
-        "                        trace_event JSON on exit\n"
         "  --threads <n>         worker threads for parallel scans\n");
+    std::fputs(obs::Runtime::usage, stderr);
     return 2;
-}
-
-/** Signal state: 0 = running, else the signal that asked us to die. */
-std::atomic<int> g_signal_seen{0};
-
-/**
- * First SIGINT/SIGTERM only raises the flag - the main loop performs
- * the orderly drain, because a scheduler drain is nowhere near
- * async-signal-safe. A second signal means "now": die immediately
- * with the conventional status.
- */
-void
-onTerminateSignal(int sig)
-{
-    int expected = 0;
-    if (!g_signal_seen.compare_exchange_strong(expected, sig))
-        _exit(128 + sig);
 }
 
 } // anonymous namespace
@@ -97,9 +67,13 @@ onTerminateSignal(int sig)
 int
 main(int argc, char **argv)
 {
+    obs::Runtime runtime(argc, argv);
+    if (!runtime.error().empty()) {
+        std::fprintf(stderr, "%s\n", runtime.error().c_str());
+        return usage();
+    }
     obs::ServeSpec bind; // 127.0.0.1:0
     serve::ServerOptions opts;
-    std::string stats_path, trace_path, obs_spec;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -149,21 +123,6 @@ main(int argc, char **argv)
             if (v == nullptr)
                 return usage();
             opts.handler_threads = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--serve-obs") {
-            const char *v = next("--serve-obs");
-            if (v == nullptr)
-                return usage();
-            obs_spec = v;
-        } else if (arg == "--stats-json") {
-            const char *v = next("--stats-json");
-            if (v == nullptr)
-                return usage();
-            stats_path = v;
-        } else if (arg == "--trace") {
-            const char *v = next("--trace");
-            if (v == nullptr)
-                return usage();
-            trace_path = v;
         } else if (arg == "--threads") {
             const char *v = next("--threads");
             if (v == nullptr)
@@ -182,12 +141,7 @@ main(int argc, char **argv)
         }
     }
 
-    std::signal(SIGINT, onTerminateSignal);
-    std::signal(SIGTERM, onTerminateSignal);
-    // The global tracer buffers spans only for an export.
-    if (!trace_path.empty())
-        obs::PhaseTracer::global().setEnabled(true);
-
+    runtime.start(obs::Runtime::OnSignal::Record);
     opts.bind = bind;
     serve::JobServer server(opts);
     std::string error;
@@ -199,50 +153,18 @@ main(int argc, char **argv)
                 server.address().c_str(), server.port());
     std::fflush(stdout);
 
-    // Optional observability plane riding alongside: job progress /
-    // ETA shows on /progress, serve.jobs.* on /metrics.
-    std::unique_ptr<obs::TelemetrySampler> sampler;
-    std::unique_ptr<obs::ObsHttpServer> obs_server;
-    if (!obs_spec.empty()) {
-        obs::ServeSpec spec;
-        if (!obs::parseServeSpec(obs_spec, &spec, &error))
-            cb_fatal("--serve-obs: %s", error.c_str());
-        sampler = std::make_unique<obs::TelemetrySampler>();
-        sampler->start();
-        obs::ObsHttpServer::Options obs_opts;
-        obs_opts.bind = spec;
-        obs_opts.sampler = sampler.get();
-        obs_server = std::make_unique<obs::ObsHttpServer>(obs_opts);
-        if (!obs_server->start(&error))
-            cb_fatal("--serve-obs: %s", error.c_str());
-        std::printf("serving observability on http://%s:%u/\n",
-                    obs_server->address().c_str(),
-                    obs_server->port());
-        std::fflush(stdout);
-    }
-
     // Main loop: park until a signal or a protocol Shutdown asks for
     // the drain.
-    while (g_signal_seen.load(std::memory_order_acquire) == 0 &&
+    while (obs::Runtime::signalReceived() == 0 &&
            !server.shutdownRequested()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
 
-    int sig = g_signal_seen.load(std::memory_order_acquire);
+    int sig = obs::Runtime::signalReceived();
     cb_inform("coldboot-served: %s; draining",
               sig != 0 ? "termination signal" : "shutdown request");
     server.stop();
-    if (obs_server != nullptr)
-        obs_server->stop();
-    if (sampler != nullptr)
-        sampler->stop();
-
-    // Flush artifacts after the drain so they capture the full run -
-    // the same exit contract as coldboot-tool's signal path.
-    if (!stats_path.empty())
-        obs::StatRegistry::global().writeJsonFile(stats_path);
-    if (!trace_path.empty())
-        obs::PhaseTracer::global().writeTraceFile(trace_path);
-
+    // Flush after the drain so the artifacts capture the full run.
+    runtime.finish();
     return sig != 0 ? 128 + sig : 0;
 }

@@ -20,19 +20,18 @@
  *   coldboot-tool decrypt /tmp/vol.bin <data_key_hex> <tweak_key_hex> 3
  */
 
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/resource.h>
-#include <unistd.h>
 
 #include "attack/attack_pipeline.hh"
 #include "attack/sessions.hh"
@@ -42,9 +41,7 @@
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "crypto/xts.hh"
-#include "obs/flight.hh"
-#include "obs/http.hh"
-#include "obs/sampler.hh"
+#include "obs/runtime.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 #include "dram/dram_module.hh"
@@ -68,7 +65,7 @@ usage()
         "usage:\n"
         "  coldboot-tool simulate-victim <dump.img> <volume.bin>"
         " [mib] [seed] [--warm]\n"
-        "  coldboot-tool attack <dump.img> [threads]\n"
+        "  coldboot-tool attack <dump.img>\n"
         "  coldboot-tool mine <dump.img> [top_n]\n"
         "  coldboot-tool descramble <dump.img> <out.img>\n"
         "  coldboot-tool info <dump.img>\n"
@@ -79,19 +76,6 @@ usage()
         "                        signal mid-mining-run to exercise\n"
         "                        the flight recorder's post-mortem\n"
         "global flags (any command, any position):\n"
-        "  --stats-json <file>   write the stats registry as JSON\n"
-        "  --trace <file>        write phase spans as Chrome"
-        " trace_event JSON\n"
-        "  --flight-record <file>\n"
-        "                        arm the always-on flight recorder:\n"
-        "                        per-thread event rings + post-mortem\n"
-        "                        JSON at <file> on SIGSEGV/SIGBUS/\n"
-        "                        SIGABRT or cb_fatal; also via the\n"
-        "                        COLDBOOT_FLIGHT_RECORD env var\n"
-        "  --profile-spans       attach perf-counter deltas (cycles,\n"
-        "                        instructions, cache misses) to every\n"
-        "                        span, in the trace and as obs.span.*\n"
-        "                        stats; also via COLDBOOT_PROFILE_SPANS\n"
         "  --threads <n>         worker threads for parallel scans\n"
         "                        (default: COLDBOOT_THREADS or all"
         " cores)\n"
@@ -100,39 +84,9 @@ usage()
         "  --simd <backend>      force the kernel backend (avx2,\n"
         "                        sse2 or scalar; default: best the\n"
         "                        CPU supports); also via the\n"
-        "                        COLDBOOT_SIMD env var\n"
-        "  --serve-obs <[addr:]port>\n"
-        "                        serve live telemetry over HTTP\n"
-        "                        (/metrics /stats /stats/series\n"
-        "                        /trace /flight /progress /healthz);\n"
-        "                        also via\n"
-        "                        the COLDBOOT_SERVE_OBS env var;\n"
-        "                        port 0 picks an ephemeral port\n");
+        "                        COLDBOOT_SIMD env var\n");
+    std::fputs(obs::Runtime::usage, stderr);
     return 2;
-}
-
-/** Output paths the termination-signal handler flushes. */
-std::string g_stats_path, g_trace_path;
-std::atomic<int> g_signal_seen{0};
-
-/**
- * SIGINT/SIGTERM: flush the requested stats/trace artifacts, then
- * die with the conventional 128+sig status. The flush calls are not
- * strictly async-signal-safe, but the alternative on a Ctrl-C'd
- * multi-hour scan is losing the artifacts entirely - and a second
- * signal (the guard below) still kills the process immediately.
- */
-void
-onTerminateSignal(int sig)
-{
-    int expected = 0;
-    if (!g_signal_seen.compare_exchange_strong(expected, sig))
-        _exit(128 + sig);
-    if (!g_stats_path.empty())
-        obs::StatRegistry::global().writeJsonFile(g_stats_path);
-    if (!g_trace_path.empty())
-        obs::PhaseTracer::global().writeTraceFile(g_trace_path);
-    _exit(128 + sig);
 }
 
 /** getrusage(RUSAGE_SELF) peak RSS in KiB (0 if unavailable). */
@@ -215,12 +169,7 @@ cmdAttack(int argc, char **argv)
     // possible, buffered pread otherwise. On a multi-GiB capture the
     // old loadRaw() path doubled the peak RSS.
     auto dump = exec::openDumpSource(argv[0], g_dump_backend);
-    attack::PipelineParams params;
-    if (argc > 1)
-        params.search.threads = static_cast<unsigned>(
-            std::strtoul(argv[1], nullptr, 10));
-
-    auto report = attack::runColdBootAttack(*dump, params);
+    auto report = attack::runColdBootAttack(*dump);
     std::printf("mined %zu candidate keys; recovered %zu AES table(s);"
                 " %zu XTS pair(s); %.2f MiB/s (%s dump, peak RSS "
                 "%llu KiB)\n",
@@ -377,32 +326,14 @@ cmdDecrypt(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Extract the global observability flags wherever they appear so
-    // every command accepts them; what remains is dispatched as
-    // before.
-    std::string stats_path, trace_path, serve_spec, flight_path;
+    obs::Runtime runtime(argc, argv);
+    if (!runtime.error().empty()) {
+        std::fprintf(stderr, "%s\n", runtime.error().c_str());
+        return usage();
+    }
     std::vector<char *> args;
     for (int i = 0; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--serve-obs") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--serve-obs requires an "
-                                     "[addr:]port argument\n");
-                return usage();
-            }
-            serve_spec = argv[++i];
-            continue;
-        }
-        if (arg == "--stats-json" || arg == "--trace") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a file argument\n",
-                             arg.c_str());
-                return usage();
-            }
-            (arg == "--stats-json" ? stats_path : trace_path) =
-                argv[++i];
-            continue;
-        }
         if (arg == "--threads") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr,
@@ -445,130 +376,27 @@ main(int argc, char **argv)
             }
             continue;
         }
-        if (arg == "--flight-record") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--flight-record requires a "
-                                     "file argument\n");
-                return usage();
-            }
-            flight_path = argv[++i];
-            continue;
-        }
-        if (arg == "--profile-spans") {
-            obs::PhaseTracer::setSpanPerfEnabled(true);
-            continue;
-        }
         args.push_back(argv[i]);
     }
 
-    if (serve_spec.empty()) {
-        if (const char *env = std::getenv("COLDBOOT_SERVE_OBS");
-            env && *env)
-            serve_spec = env;
-    }
-    if (flight_path.empty()) {
-        if (const char *env = std::getenv("COLDBOOT_FLIGHT_RECORD");
-            env && *env)
-            flight_path = env;
-    }
-
-    // Arm the flight recorder before any attack work starts: crash
-    // forensics are only useful if the rings were recording from the
-    // beginning of the run. Serving telemetry without a dump path
-    // still turns recording on so GET /flight has data.
-    if (!flight_path.empty())
-        obs::FlightRecorder::global().installCrashHandler(
-            flight_path);
-    else if (!serve_spec.empty())
-        obs::FlightRecorder::global().setEnabled(true);
-
-    // SIGINT/SIGTERM flush the requested artifacts before dying, so
-    // an interrupted run still leaves its stats/trace behind.
-    g_stats_path = stats_path;
-    g_trace_path = trace_path;
-    // The global tracer buffers spans only for an export.
-    if (!trace_path.empty())
-        obs::PhaseTracer::global().setEnabled(true);
-    std::signal(SIGINT, onTerminateSignal);
-    std::signal(SIGTERM, onTerminateSignal);
-
-    // The telemetry plane is entirely optional: nothing below is
-    // constructed (no sampler thread, no socket) unless requested.
-    std::unique_ptr<obs::TelemetrySampler> sampler;
-    std::unique_ptr<obs::ObsHttpServer> server;
-    if (!serve_spec.empty()) {
-        obs::ServeSpec spec;
-        std::string error;
-        if (!obs::parseServeSpec(serve_spec, &spec, &error))
-            cb_fatal("--serve-obs: %s", error.c_str());
-        sampler = std::make_unique<obs::TelemetrySampler>();
-        sampler->start();
-        obs::ObsHttpServer::Options opts;
-        opts.bind = spec;
-        opts.sampler = sampler.get();
-        server = std::make_unique<obs::ObsHttpServer>(opts);
-        if (!server->start(&error))
-            cb_fatal("--serve-obs: %s", error.c_str());
-        // Announced on stdout (and flushed) so wrappers scraping a
-        // `--serve-obs 127.0.0.1:0` child can read the bound port.
-        std::printf("serving observability on http://%s:%u/\n",
-                    server->address().c_str(), server->port());
-        std::fflush(stdout);
-    }
-
-    if (args.size() < 2)
-        return usage();
-    std::string cmd = args[1];
-    int sub_argc = static_cast<int>(args.size()) - 2;
-    char **sub_argv = args.data() + 2;
-
-    int rc;
-    if (cmd == "simulate-victim")
-        rc = cmdSimulateVictim(sub_argc, sub_argv);
-    else if (cmd == "attack")
-        rc = cmdAttack(sub_argc, sub_argv);
-    else if (cmd == "mine")
-        rc = cmdMine(sub_argc, sub_argv);
-    else if (cmd == "descramble")
-        rc = cmdDescramble(sub_argc, sub_argv);
-    else if (cmd == "info")
-        rc = cmdInfo(sub_argc, sub_argv);
-    else if (cmd == "decrypt")
-        rc = cmdDecrypt(sub_argc, sub_argv);
-    else if (cmd == "crash-test")
-        rc = cmdCrashTest(sub_argc, sub_argv);
-    else
+    const std::map<std::string, int (*)(int, char **)> commands = {
+        {"simulate-victim", cmdSimulateVictim},
+        {"attack", cmdAttack},
+        {"mine", cmdMine},
+        {"descramble", cmdDescramble},
+        {"info", cmdInfo},
+        {"decrypt", cmdDecrypt},
+        {"crash-test", cmdCrashTest},
+    };
+    auto cmd =
+        args.size() < 2 ? commands.end() : commands.find(args[1]);
+    if (cmd == commands.end())
         return usage();
 
-    // Written even when the command "failed" (e.g. no keys found):
-    // the stats of an unsuccessful run are exactly what a regression
-    // trajectory wants to capture.
-    if (!stats_path.empty())
-        obs::StatRegistry::global().writeJsonFile(stats_path);
-    if (!trace_path.empty())
-        obs::PhaseTracer::global().writeTraceFile(trace_path);
-
-    // Test hook: with COLDBOOT_SERVE_OBS_LINGER_MS set, keep serving
-    // after the command finished (until the linger elapses or a
-    // GET /quit arrives) so an external scraper can read the final
-    // state of a short run.
-    if (server != nullptr) {
-        if (const char *linger_env =
-                std::getenv("COLDBOOT_SERVE_OBS_LINGER_MS");
-            linger_env && *linger_env) {
-            auto deadline =
-                std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(
-                    std::strtoul(linger_env, nullptr, 10));
-            while (!server->quitRequested() &&
-                   std::chrono::steady_clock::now() < deadline) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-            }
-        }
-        server->stop();
-    }
-    if (sampler != nullptr)
-        sampler->stop();
+    runtime.start(obs::Runtime::OnSignal::FlushAndExit);
+    int rc = cmd->second(static_cast<int>(args.size()) - 2,
+                         args.data() + 2);
+    runtime.finish();
+    runtime.linger();
     return rc;
 }

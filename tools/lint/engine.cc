@@ -7,7 +7,6 @@
 #include <map>
 #include <sstream>
 
-#include "lint/cache.hh"
 #include "lint/dataflow.hh"
 #include "lint/parse.hh"
 #include "obs/json.hh"
@@ -150,6 +149,15 @@ class ConfigStack
     std::map<std::string, Entry> cache;
 };
 
+/** A parsed, valid `coldboot-lint: allow(...)` comment. */
+struct Suppression
+{
+    int line = 0; ///< line the comment starts on
+    std::string rule;
+    /** Comment is alone on its line (may waive the next line). */
+    bool standalone = false;
+};
+
 /**
  * Scan comments for `coldboot-lint:` markers. Valid suppressions go
  * to @p suppressions; malformed ones become bad-suppression
@@ -217,9 +225,15 @@ suppresses(const Suppression &s, const std::string &rule, int f_line)
 /**
  * Everything the engine derives from one file in isolation:
  * token-rule findings (suppression-filtered), suppressions, and the
- * parsed summary for the call-graph passes. This is the unit the
- * incremental cache stores.
+ * parsed summary for the call-graph passes.
  */
+struct FileArtifacts
+{
+    std::vector<Finding> findings;
+    std::vector<Suppression> suppressions;
+    FileSummary summary;
+};
+
 FileArtifacts
 computeArtifacts(const std::string &display_path,
                  std::string_view content,
@@ -258,18 +272,6 @@ computeArtifacts(const std::string &display_path,
     art.findings = std::move(findings);
     art.summary = parseSummary(display_path, lexed);
     return art;
-}
-
-/** Cache key half covering everything except the file content. */
-uint64_t
-rulesetHash(const std::set<std::string> &disabled)
-{
-    std::string key = version;
-    for (const auto &rule : disabled) { // std::set: sorted, stable
-        key += '\0';
-        key += rule;
-    }
-    return fnv1a64(key);
 }
 
 } // anonymous namespace
@@ -362,22 +364,7 @@ lintTree(const LintOptions &options)
         if (ec)
             rel = file.generic_string();
 
-        FileArtifacts art;
-        bool cached = false;
-        const uint64_t chash = fnv1a64(content);
-        const uint64_t rhash = rulesetHash(disabled);
-        if (!options.cache_dir.empty())
-            cached = cacheLoad(options.cache_dir, rel, chash, rhash,
-                               art);
-        if (cached) {
-            ++result.cache_hits;
-        } else {
-            ++result.cache_misses;
-            art = computeArtifacts(rel, content, disabled);
-            if (!options.cache_dir.empty())
-                cacheStore(options.cache_dir, rel, chash, rhash,
-                           art);
-        }
+        FileArtifacts art = computeArtifacts(rel, content, disabled);
         result.findings.insert(result.findings.end(),
                                art.findings.begin(),
                                art.findings.end());
@@ -453,10 +440,7 @@ emitJson(const LintResult &result)
     std::ostringstream out;
     out << "{\"tool\":\"coldboot-lint\",\"version\":\""
         << json::escape(version) << "\",\"files_scanned\":"
-        << result.files_scanned
-        << ",\"cache_hits\":" << result.cache_hits
-        << ",\"cache_misses\":" << result.cache_misses
-        << ",\"analysis_ms\":" << result.analysis_ms
+        << result.files_scanned << ",\"analysis_ms\":" << result.analysis_ms
         << ",\"elapsed_ms\":" << result.elapsed_ms
         << ",\"findings\":[";
     bool first = true;

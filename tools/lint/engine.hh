@@ -2,8 +2,7 @@
  * @file
  * coldboot-lint driver: tree walking, per-directory configuration,
  * inline suppressions, the cross-TU call-graph analysis
- * (dataflow.hh), the incremental cache (cache.hh), and the text /
- * JSON / SARIF 2.1.0 emitters.
+ * (dataflow.hh), and the text / JSON / SARIF 2.1.0 emitters.
  *
  * Configuration: a `.coldboot-lint` file in any directory applies to
  * that directory and everything below it. Lines (comments start
@@ -45,12 +44,6 @@ struct LintOptions
     /** Subtrees (or single files) to scan, relative to root. */
     std::vector<std::string> paths = {"src", "bench", "tests",
                                       "tools"};
-    /**
-     * Directory for the incremental per-file cache (see cache.hh).
-     * Empty disables caching; every file is lexed, linted, and
-     * parsed from scratch.
-     */
-    std::string cache_dir;
 };
 
 /** Scan outcome. */
@@ -58,10 +51,6 @@ struct LintResult
 {
     std::vector<Finding> findings;
     size_t files_scanned = 0;
-    /** Files whose artifacts came from the incremental cache. */
-    size_t cache_hits = 0;
-    /** Files that had to be (re-)lexed, linted, and parsed. */
-    size_t cache_misses = 0;
     /** Wall time of the cross-TU call-graph analysis alone. */
     long analysis_ms = 0;
     /** Wall time of the whole tree lint. */

@@ -34,9 +34,6 @@ usage(std::FILE *to)
         "  --format FMT      text | json | sarif (default: text)\n"
         "  --out FILE        write the report to FILE instead of\n"
         "                    stdout\n"
-        "  --cache-dir DIR   incremental cache: unchanged files\n"
-        "                    reuse their stored findings and parse\n"
-        "                    summaries (default: no cache)\n"
         "  --explain RULE    print a rule's rationale with a\n"
         "                    violating example and its fix, then\n"
         "                    exit\n"
@@ -103,10 +100,6 @@ main(int argc, char **argv)
         }
         if (arg == "--root") {
             options.root = value("--root");
-            continue;
-        }
-        if (arg == "--cache-dir") {
-            options.cache_dir = value("--cache-dir");
             continue;
         }
         if (arg == "--format") {
