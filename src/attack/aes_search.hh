@@ -115,7 +115,24 @@ struct SearchStats
     uint64_t reconstructions_verified = 0;
     /** Wall-clock seconds spent scanning. */
     double seconds = 0.0;
+
+    /** Fold in another call's stats (one search per key size). */
+    SearchStats &
+    operator+=(const SearchStats &o)
+    {
+        blocks_scanned += o.blocks_scanned;
+        descramble_attempts += o.descramble_attempts;
+        prefilter_passes += o.prefilter_passes;
+        litmus_hits += o.litmus_hits;
+        reconstructions_tried += o.reconstructions_tried;
+        reconstructions_verified += o.reconstructions_verified;
+        seconds += o.seconds;
+        return *this;
+    }
 };
+// A new field must be folded by operator+= above, then counted here.
+static_assert(sizeof(SearchStats) == 7 * 8,
+              "SearchStats::operator+= must fold every field");
 
 /** One AES key litmus hit of the table scan. */
 struct AesTableHit

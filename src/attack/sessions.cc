@@ -225,15 +225,7 @@ AttackSession::stageSearch()
                                         search, &stats);
         report_.recovered.insert(report_.recovered.end(),
                                  found.begin(), found.end());
-        report_.search_stats.blocks_scanned += stats.blocks_scanned;
-        report_.search_stats.descramble_attempts +=
-            stats.descramble_attempts;
-        report_.search_stats.litmus_hits += stats.litmus_hits;
-        report_.search_stats.reconstructions_tried +=
-            stats.reconstructions_tried;
-        report_.search_stats.reconstructions_verified +=
-            stats.reconstructions_verified;
-        report_.search_stats.seconds += stats.seconds;
+        report_.search_stats += stats;
         progress_->advance(dump_.size());
         ++next_key_size_;
     }

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <set>
 
-#include "obs/json.hh"
-
 namespace coldboot::obs
 {
 
@@ -74,8 +72,7 @@ prometheusName(const std::string &name)
 }
 
 std::string
-renderPrometheusText(const std::vector<StatSnapshot> &stats,
-                     const std::vector<SeriesSnapshot> *series)
+renderPrometheusText(const std::vector<StatSnapshot> &stats)
 {
     std::string out;
     out.reserve(stats.size() * 96);
@@ -141,42 +138,6 @@ renderPrometheusText(const std::vector<StatSnapshot> &stats,
           }
         }
     }
-    if (series != nullptr) {
-        for (const auto &sr : *series) {
-            const std::string name =
-                prometheusName(sr.name) + "_ewma_per_second";
-            emitFamily(out, name,
-                       "sampler EWMA rate of " + sr.name, "gauge");
-            out += name + " " + promNumber(sr.ewma_rate) + "\n";
-        }
-    }
-    return out;
-}
-
-std::string
-renderSeriesJson(const std::vector<SeriesSnapshot> &series)
-{
-    std::string out = "{\n  \"series\": [";
-    bool first = true;
-    for (const auto &sr : series) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    {\"name\": \"" + json::escape(sr.name) +
-               "\", \"kind\": \"" + json::escape(sr.kind) +
-               "\", \"ewma_rate\": " + json::number(sr.ewma_rate) +
-               ", \"points\": [";
-        for (size_t i = 0; i < sr.points.size(); ++i) {
-            const SeriesPoint &p = sr.points[i];
-            if (i)
-                out += ", ";
-            out += "{\"unix_ms\": " + json::number(p.unix_ms) +
-                   ", \"value\": " + json::number(p.value) +
-                   ", \"delta\": " + json::number(p.delta) +
-                   ", \"rate\": " + json::number(p.rate) + "}";
-        }
-        out += "]}";
-    }
-    out += "\n  ]\n}\n";
     return out;
 }
 

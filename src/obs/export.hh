@@ -2,13 +2,13 @@
  * @file
  * Render-side of the live telemetry plane: Prometheus text
  * exposition (format version 0.0.4) rendered from a StatRegistry
- * snapshot plus optional sampler rates, JSON rendering of sampled
- * time-series history, and an exposition-format validator shared by
- * the tests, the `coldboot-promcheck` tool and the CI scrape leg.
+ * snapshot, and an exposition-format validator shared by the tests,
+ * the `coldboot-promcheck` tool and the CI scrape leg.
  *
  * Pure functions over snapshots - no sockets, no threads, no clocks -
- * so every byte the HTTP endpoints serve is unit-testable without a
- * server, and rendering never blocks a sampler tick.
+ * so every byte `/metrics` serves is unit-testable without a server.
+ * Rates over time are the scraper's job: Prometheus derives them from
+ * successive counter scrapes.
  */
 
 #ifndef COLDBOOT_OBS_EXPORT_HH
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "obs/stats.hh"
-#include "obs/timeseries.hh"
 
 namespace coldboot::obs
 {
@@ -40,22 +39,8 @@ std::string prometheusName(const std::string &name);
  *  - distributions -> histogram when bucket edges exist (cumulative
  *    `_bucket{le="..."}` series ending in `le="+Inf"`, plus `_sum` /
  *    `_count`), else `_count`/`_sum`/`_min`/`_max`/`_mean` gauges.
- *
- * When @p series is non-null, each entry additionally emits a
- * `<name>_ewma_per_second` gauge - the sampler's smoothed rate.
  */
-std::string renderPrometheusText(
-    const std::vector<StatSnapshot> &stats,
-    const std::vector<SeriesSnapshot> *series = nullptr);
-
-/**
- * Render sampled ring-buffer history as JSON:
- * {"series": [{"name", "kind", "ewma_rate",
- *              "points": [{"unix_ms","value","delta","rate"}, ...]},
- *             ...]}
- */
-std::string renderSeriesJson(
-    const std::vector<SeriesSnapshot> &series);
+std::string renderPrometheusText(const std::vector<StatSnapshot> &stats);
 
 /**
  * Validate Prometheus text exposition line by line: `# HELP` /

@@ -572,7 +572,13 @@ FlightRecorder::dumpJson() const
     // exactly what a crash dump would embed (as of the last
     // updateStatsSnapshot).
     std::string snap_json;
-    const std::atomic<unsigned char> *snap = snap_buf.get();
+    const std::atomic<unsigned char> *snap = nullptr;
+    {
+        // A first updateStatsSnapshot() may be allocating the buffer
+        // right now; once set, it is never freed.
+        std::lock_guard<std::mutex> lock(alloc_mu);
+        snap = snap_buf.get();
+    }
     if (snap != nullptr) {
         for (int attempt = 0; attempt < 64; ++attempt) {
             uint32_t s1 = snap_seq.load(std::memory_order_acquire);

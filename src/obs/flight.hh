@@ -25,9 +25,10 @@
  * array at install time) and re-raises the signal with disposition
  * reset so the process still dies with the original signal. The
  * stats snapshot embedded in the dump is pre-rendered on the normal
- * path (updateStatsSnapshot, refreshed by the telemetry sampler
- * tick) into a seqlock-protected atomic byte buffer, so the handler
- * copies bytes instead of walking registry data structures.
+ * path (updateStatsSnapshot, refreshed every 250 ms by obs::Runtime
+ * while the recorder is on) into a seqlock-protected atomic byte
+ * buffer, so the handler copies bytes instead of walking registry
+ * data structures.
  *
  * Determinism: recording is observation-only - it never feeds back
  * into attack results - and the hot path is a single relaxed load

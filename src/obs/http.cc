@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -14,7 +15,6 @@
 #include "obs/export.hh"
 #include "obs/flight.hh"
 #include "obs/progress.hh"
-#include "obs/sampler.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 
@@ -58,7 +58,7 @@ sendAll(int fd, const std::string &data)
 
 } // anonymous namespace
 
-ObsHttpServer::ObsHttpServer(Options opts_) : opts(std::move(opts_))
+ObsHttpServer::ObsHttpServer(ServeSpec bind_) : bind(std::move(bind_))
 {
 }
 
@@ -72,7 +72,7 @@ ObsHttpServer::start(std::string *error)
 {
     if (running)
         return true;
-    if (!listener.open(opts.bind, error))
+    if (!listener.open(bind, error))
         return false;
     // GET /trace exports the global tracer, so it must buffer spans.
     PhaseTracer::global().setEnabled(true);
@@ -90,9 +90,14 @@ ObsHttpServer::stop()
     if (!running)
         return;
     stopping.store(true, std::memory_order_release);
-    // Unblock accept(): shut the listener down, then close it after
-    // the loop joined.
+    // Unblock accept() and any recv()/send() on the connection in
+    // flight, join the loop, then close the listener.
     listener.shutdownListener();
+    {
+        std::lock_guard<std::mutex> lock(conn_mu);
+        if (conn_fd >= 0)
+            ::shutdown(conn_fd, SHUT_RDWR);
+    }
     loop_pool.reset();
     listener.close();
     running = false;
@@ -105,7 +110,22 @@ ObsHttpServer::acceptLoop()
         int fd = listener.acceptConnection();
         if (fd < 0)
             return; // listener shut down (or broke)
+        {
+            // stop() raises `stopping` before taking this lock, so
+            // either it sees conn_fd or this check sees the flag.
+            std::lock_guard<std::mutex> lock(conn_mu);
+            if (stopping.load(std::memory_order_acquire)) {
+                ::close(fd);
+                return;
+            }
+            conn_fd = fd;
+        }
+        timeval tv{ioTimeout.count(), 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
         handleConnection(fd);
+        std::lock_guard<std::mutex> lock(conn_mu);
+        conn_fd = -1;
         ::close(fd);
     }
 }
@@ -173,27 +193,12 @@ ObsHttpServer::route(const std::string &method,
         return 200;
     }
     if (path == "/metrics") {
-        std::vector<SeriesSnapshot> series;
-        const std::vector<SeriesSnapshot> *series_ptr = nullptr;
-        if (opts.sampler != nullptr) {
-            series = opts.sampler->seriesSnapshot();
-            series_ptr = &series;
-        }
-        body = renderPrometheusText(
-            StatRegistry::global().snapshotAll(), series_ptr);
+        body = renderPrometheusText(StatRegistry::global().snapshotAll());
         content_type = "text/plain; version=0.0.4; charset=utf-8";
         return 200;
     }
     if (path == "/stats") {
         body = StatRegistry::global().dumpJson();
-        content_type = "application/json";
-        return 200;
-    }
-    if (path == "/stats/series") {
-        std::vector<SeriesSnapshot> series;
-        if (opts.sampler != nullptr)
-            series = opts.sampler->seriesSnapshot();
-        body = renderSeriesJson(series);
         content_type = "application/json";
         return 200;
     }

@@ -9,8 +9,8 @@
  *   /healthz       200 "ok"                        (liveness probe)
  *   /metrics       Prometheus text exposition 0.0.4
  *   /stats         StatRegistry JSON dump
- *   /stats/series  sampled time-series history (JSON)
  *   /trace         Chrome trace (chrome://tracing / Perfetto)
+ *   /flight        flight-recorder rings + stats snapshot (JSON)
  *   /progress      job progress / ETA (JSON)
  *   /quit          raises quitRequested() (test/linger hook)
  *
@@ -20,15 +20,19 @@
  * its own single-worker exec::ThreadPool and handles one connection
  * at a time; responses are small rendered strings sent with
  * `Connection: close`, which is plenty for scrape traffic and keeps
- * the server trivially auditable.
+ * the server trivially auditable. A fixed I/O timeout on every
+ * accepted socket bounds how long a silent client can hold that one
+ * slot, and stop() cuts the connection in flight.
  */
 
 #ifndef COLDBOOT_OBS_HTTP_HH
 #define COLDBOOT_OBS_HTTP_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "obs/tcp_listener.hh"
@@ -41,23 +45,21 @@ class ThreadPool;
 namespace coldboot::obs
 {
 
-class TelemetrySampler;
-
 /**
  * The embedded server. start() binds and launches the accept loop;
- * stop() (or destruction) shuts the listening socket down and joins.
+ * stop() (or destruction) shuts the listening socket and any
+ * connection in flight down, and joins.
  */
 class ObsHttpServer
 {
   public:
-    struct Options
-    {
-        ServeSpec bind;
-        /** Optional sampler backing /metrics EWMA + /stats/series. */
-        TelemetrySampler *sampler = nullptr;
-    };
+    /** How long one recv()/send() on a client may block: a client
+     *  that connects and goes silent holds the server this long. */
+    static constexpr std::chrono::seconds ioTimeout{2};
 
-    explicit ObsHttpServer(Options opts);
+    /** @param bind Endpoint; the default is an ephemeral localhost
+     *              port. */
+    explicit ObsHttpServer(ServeSpec bind = {});
 
     ObsHttpServer(const ObsHttpServer &) = delete;
     ObsHttpServer &operator=(const ObsHttpServer &) = delete;
@@ -70,7 +72,8 @@ class ObsHttpServer
      */
     bool start(std::string *error = nullptr);
 
-    /** Shut down the listener and join the accept loop (idempotent). */
+    /** Shut down the listener and the connection in flight, and join
+     *  the accept loop (idempotent). */
     void stop();
 
     /** Address actually bound (valid after a successful start()). */
@@ -98,10 +101,15 @@ class ObsHttpServer
     int route(const std::string &method, const std::string &path,
               std::string &body, std::string &content_type);
 
-    Options opts;
+    ServeSpec bind;
     TcpListener listener;
     bool running = false;
     std::atomic<bool> stopping{false};
+    /** Guards conn_fd, so stop() never shuts down an fd the loop has
+     *  already closed (and the kernel may have reused). */
+    std::mutex conn_mu;
+    /** The connection being served (-1 = none). */
+    int conn_fd = -1;
     std::atomic<bool> quit_flag{false};
     std::atomic<uint64_t> requests{0};
 

@@ -10,9 +10,9 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "exec/thread_pool.hh"
 #include "obs/flight.hh"
 #include "obs/http.hh"
-#include "obs/sampler.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 
@@ -53,8 +53,8 @@ const char *const Runtime::usage =
     "                        JSON at exit\n"
     "  --serve-obs <[addr:]port>\n"
     "                        serve live telemetry over HTTP\n"
-    "                        (/metrics /stats /stats/series /trace\n"
-    "                        /flight /progress /healthz); port 0\n"
+    "                        (/metrics /stats /trace /flight\n"
+    "                        /progress /healthz); port 0\n"
     "                        picks an ephemeral port\n"
     "  --flight-record <file>\n"
     "                        arm the flight recorder: per-thread\n"
@@ -92,6 +92,15 @@ Runtime::~Runtime()
 {
     if (!started)
         return;
+    if (refresh_pool != nullptr) {
+        {
+            std::lock_guard<std::mutex> lock(refresh_mu);
+            refresh_stopping = true;
+        }
+        refresh_cv.notify_all();
+        // Pool destruction runs the loop to completion and joins.
+        refresh_pool.reset();
+    }
     finish();
     g_flush_on_signal.store(nullptr);
     std::signal(SIGINT, SIG_DFL);
@@ -111,6 +120,25 @@ Runtime::start(OnSignal on_signal)
         FlightRecorder::global().installCrashHandler(flight_path);
     else if (!serve_spec.empty())
         FlightRecorder::global().setEnabled(true);
+    if (!flight_path.empty() || !serve_spec.empty()) {
+        // The crash handler cannot walk the registry from a signal
+        // context, so it embeds the snapshot rendered here; the
+        // pool's per-worker counters ride along and reach /metrics.
+        // The first refresh runs on this thread, before any work.
+        auto refresh = [] {
+            exec::ThreadPool::publishGlobalWorkerStats();
+            FlightRecorder::global().updateStatsSnapshot();
+        };
+        refresh();
+        refresh_pool = std::make_unique<exec::ThreadPool>(1);
+        refresh_pool->submit([this, refresh] {
+            std::unique_lock<std::mutex> lock(refresh_mu);
+            while (!refresh_cv.wait_for(lock, refreshPeriod, [this] {
+                return refresh_stopping;
+            }))
+                refresh();
+        });
+    }
     if (!trace_path.empty())
         PhaseTracer::global().setEnabled(true);
 
@@ -125,12 +153,7 @@ Runtime::start(OnSignal on_signal)
     std::string error;
     if (!parseServeSpec(serve_spec, &spec, &error))
         cb_fatal("--serve-obs: %s", error.c_str());
-    sampler = std::make_unique<TelemetrySampler>();
-    sampler->start();
-    ObsHttpServer::Options opts;
-    opts.bind = spec;
-    opts.sampler = sampler.get();
-    server = std::make_unique<ObsHttpServer>(opts);
+    server = std::make_unique<ObsHttpServer>(spec);
     if (!server->start(&error))
         cb_fatal("--serve-obs: %s", error.c_str());
     // Flushed so wrappers scraping a `--serve-obs 127.0.0.1:0` child

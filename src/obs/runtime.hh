@@ -9,26 +9,41 @@
  * particular the global tracer is armed only by a sink that will
  * export it - `--trace`, or a server serving `/trace` - so a process
  * never buffers spans that nobody writes.
+ *
+ * While the flight recorder is on (`--flight-record`, or
+ * `--serve-obs` for `/flight`), a refresh loop re-renders its crash
+ * stats snapshot and mirrors the global pool's per-worker counters
+ * into the registry every refreshPeriod, on its own single-worker
+ * exec::ThreadPool: a crash dump or scrape then shows stats at most
+ * one period old. It only reads workload stats, so results stay
+ * byte-identical with it on or off (DESIGN.md §9).
  */
 
 #ifndef COLDBOOT_OBS_RUNTIME_HH
 #define COLDBOOT_OBS_RUNTIME_HH
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
+
+namespace coldboot::exec
+{
+class ThreadPool;
+} // namespace coldboot::exec
 
 namespace coldboot::obs
 {
 
 class ObsHttpServer;
-class TelemetrySampler;
 
 /**
  * One per process. Construction strips the shared flags from argv;
  * start() arms what they ask for; finish() (or destruction) writes
- * the requested files once; destruction stops the HTTP plane and
- * restores default signal handling.
+ * the requested files once; destruction stops the refresh loop and
+ * the HTTP plane and restores default signal handling.
  */
 class Runtime
 {
@@ -47,6 +62,9 @@ class Runtime
     /** Usage lines for the shared flags. */
     static const char *const usage;
 
+    /** Period of the flight recorder's stats refresh. */
+    static constexpr std::chrono::milliseconds refreshPeriod{250};
+
     /**
      * Remove the shared flags and their values from @p argv wherever
      * they appear, keeping every other argument in order and
@@ -64,9 +82,9 @@ class Runtime
 
     /**
      * Arm span perf, the flight recorder (crash handler with
-     * `--flight-record`, recording alone with `--serve-obs`) and the
-     * global tracer (`--trace`); start the sampler and HTTP server
-     * and announce the bound address on stdout; install the
+     * `--flight-record`, recording alone with `--serve-obs`) and its
+     * refresh loop, and the global tracer (`--trace`); start the HTTP
+     * server and announce the bound address on stdout; install the
      * SIGINT/SIGTERM handler. cb_fatal()s when the `--serve-obs`
      * endpoint is malformed or cannot be bound.
      */
@@ -92,8 +110,12 @@ class Runtime
     std::string arg_error;
     bool started = false;
     std::atomic<bool> finished{false};
-    /** Declared before the server, which points at it. */
-    std::unique_ptr<TelemetrySampler> sampler;
+
+    std::mutex refresh_mu;
+    std::condition_variable refresh_cv;
+    bool refresh_stopping = false;
+    /** Hosts the refresh loop; null when the recorder is off. */
+    std::unique_ptr<exec::ThreadPool> refresh_pool;
     std::unique_ptr<ObsHttpServer> server;
 };
 

@@ -123,10 +123,9 @@ class Rate
 
 /**
  * Point-in-time typed copy of one registry entry - the enumeration
- * unit the live telemetry plane (sampler, Prometheus exporter) is
- * built on. `value` carries the counter count, the scalar, or the
- * rate's event count; rates additionally fill `per_second` and
- * distributions fill `dist`.
+ * unit the Prometheus exporter is built on. `value` carries the
+ * counter count, the scalar, or the rate's event count; rates
+ * additionally fill `per_second` and distributions fill `dist`.
  */
 struct StatSnapshot
 {

@@ -15,7 +15,7 @@
  *  - `crash-test --flight-record` must die by the induced signal
  *    (SIGSEGV, then SIGABRT) and leave a parseable post-mortem JSON
  *    naming the signal and carrying the crashing thread's last
- *    breadcrumbs plus the pre-rendered stats snapshot;
+ *    breadcrumbs plus a stats snapshot refreshed mid-run;
  *
  *  - the determinism gate: key-recovery output must be byte-identical
  *    with tracing + flight recording + span perf on vs off, at pool
@@ -320,8 +320,13 @@ crashForensicsOnce(const std::string &tool,
           "pre-crash warn breadcrumb visible in a ring");
 
     const auto *stats = doc->find("stats");
-    check(stats != nullptr && stats->find("stats") != nullptr,
-          "pre-rendered stats snapshot embedded");
+    const auto *tree = stats != nullptr ? stats->find("stats") : nullptr;
+    check(tree != nullptr, "pre-rendered stats snapshot embedded");
+    // crash-test outlasts one refresh tick, which mirrors the global
+    // pool's per-worker counters into the snapshot.
+    check(tree != nullptr &&
+              tree->find("exec.pool.worker.0.tasks_executed") != nullptr,
+          "stats snapshot refreshed after the run started");
     std::remove(post_path.c_str());
 }
 

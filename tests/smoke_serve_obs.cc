@@ -7,8 +7,8 @@
  *
  *  - read the announced ephemeral port from its stdout;
  *  - scrape /healthz, /metrics (validated against the in-tree
- *    Prometheus exposition validator), /stats, /stats/series and
- *    /progress over raw sockets;
+ *    Prometheus exposition validator), /stats and /progress over
+ *    raw sockets;
  *  - verify per-job /progress percent is monotonically
  *    non-decreasing across scrapes;
  *  - verify the final scraped /stats counters match the --stats-json
@@ -319,14 +319,6 @@ liveScrapeTest(const std::string &tool, const std::string &dump_path)
     check(metrics.body.find("exec_pool_worker_0_tasks_executed") !=
               std::string::npos,
           "/metrics carries per-worker pool scalars");
-
-    // /stats/series exposes the sampler's ring history.
-    auto series = httpGet(port, "/stats/series");
-    auto series_doc = obs::json::parse(series.body);
-    check(series.status == 200 && series_doc.has_value() &&
-              series_doc->find("series") != nullptr &&
-              !series_doc->find("series")->array.empty(),
-          "/stats/series carries sampled history");
 
     // Final scraped counters must match the --stats-json artifact:
     // the attack is finished, so the workload counters are static.

@@ -23,6 +23,7 @@
 #include "crypto/xts.hh"
 #include "dram/dram_module.hh"
 #include "memctrl/scrambler.hh"
+#include "obs/stats.hh"
 #include "platform/coldboot.hh"
 #include "platform/machine.hh"
 #include "platform/workload.hh"
@@ -502,10 +503,16 @@ TEST(EndToEnd, VeraCryptKeyRecoveryFromFrozenDdr4)
     EXPECT_EQ(0, memcmp(plain.data(), msg, strlen(msg)));
 }
 
-TEST(EndToEnd, AttackAlsoWorksWithScramblerDisabledDump)
+/**
+ * A mounted volume's key table at 5 MiB + 32, dumped through an
+ * attacker machine whose scrambler is off, so the dump shows
+ * K_victim directly rather than K_victim ^ K_attacker.
+ *
+ * @param master Receives the volume's master keys.
+ */
+MemoryImage
+captureWithAttackerScramblerOff(std::vector<uint8_t> &master)
 {
-    // Variant: the attacker's machine has its scrambler off, so the
-    // dump shows K_victim directly rather than K_victim ^ K_attacker.
     Machine victim(cpuModelByName("i5-6400"), BiosConfig{}, 1, 41);
     victim.installDimm(0, std::make_shared<DramModule>(
                               dram::Generation::DDR4, MiB(8),
@@ -516,25 +523,54 @@ TEST(EndToEnd, AttackAlsoWorksWithScramblerDisabledDump)
     uint64_t keytable_addr = MiB(5) + 32;
     auto mounted =
         volume::MountedVolume::mount(victim, vf, "pw", keytable_addr);
-    ASSERT_TRUE(mounted);
-    std::vector<uint8_t> expected_master(
-        mounted->masterKeys().begin(), mounted->masterKeys().end());
+    EXPECT_TRUE(mounted);
+    if (mounted)
+        master.assign(mounted->masterKeys().begin(),
+                      mounted->masterKeys().end());
 
     BiosConfig attacker_bios;
     attacker_bios.scrambler_enabled = false;
     attacker_bios.boot_pollution_bytes = KiB(64);
     Machine attacker(cpuModelByName("i5-6400"), attacker_bios, 1, 45);
-    auto cold = platform::coldBootTransfer(victim, attacker, 0);
+    return platform::coldBootTransfer(victim, attacker, 0).dump;
+}
 
+/** Scan window around the capture's key table. */
+PipelineParams
+keyTableWindow()
+{
     PipelineParams params;
     params.search.scan_start = MiB(5) - KiB(64);
     params.search.scan_bytes = KiB(192);
-    auto report = runColdBootAttack(cold.dump, params);
+    return params;
+}
+
+TEST(EndToEnd, AttackAlsoWorksWithScramblerDisabledDump)
+{
+    std::vector<uint8_t> expected_master;
+    auto dump = captureWithAttackerScramblerOff(expected_master);
+    ASSERT_EQ(expected_master.size(), 64u);
+    auto report = runColdBootAttack(dump, keyTableWindow());
 
     ASSERT_GE(report.xts_pairs.size(), 1u);
     EXPECT_EQ(memcmp(report.xts_pairs[0].data_key.data(),
                      expected_master.data(), 32),
               0);
+}
+
+TEST(EndToEnd, ReportPrefilterPassesMatchTheRegistry)
+{
+    std::vector<uint8_t> master;
+    auto dump = captureWithAttackerScramblerOff(master);
+    const auto &passes = obs::StatRegistry::global().counter(
+        "attack.search.prefilter_passes");
+    const uint64_t before = passes.value();
+    auto report = runColdBootAttack(dump, keyTableWindow());
+
+    ASSERT_GE(report.xts_pairs.size(), 1u);
+    EXPECT_GT(report.search_stats.prefilter_passes, 0u);
+    EXPECT_EQ(report.search_stats.prefilter_passes,
+              passes.value() - before);
 }
 
 TEST(EndToEnd, DegenerateDumpThroughputStaysFinite)

@@ -6,7 +6,8 @@
  * whole `FlightRecorder` suite), and - in the separate
  * `FlightPostMortem` suite, which forks - the real crash paths: a
  * SIGSEGV and a cb_fatal in a child process must each leave a
- * parseable post-mortem JSON behind.
+ * parseable post-mortem JSON behind, and under obs::Runtime the
+ * dump's stats must be fresh rather than those of the arming moment.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +26,7 @@
 #include "common/logging.hh"
 #include "obs/flight.hh"
 #include "obs/json.hh"
+#include "obs/runtime.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 
@@ -382,6 +385,45 @@ TEST(FlightPostMortem, FatalHookWritesDumpBeforeExit)
             if (e.find("kind")->str == "fatal")
                 saw_fatal = true;
     EXPECT_TRUE(saw_fatal);
+    std::remove(path.c_str());
+}
+
+TEST(FlightPostMortem, RuntimeKeepsCrashStatsFresh)
+{
+    const std::string path = "test_flight_fresh_stats.json";
+    std::remove(path.c_str());
+
+    int status = forkAndWait([&path] {
+        std::string prog = "test_flight", flag = "--flight-record",
+                    file = path;
+        char *argv[] = {prog.data(), flag.data(), file.data(),
+                        nullptr};
+        int argc = 3;
+        Runtime runtime(argc, argv);
+        runtime.start(Runtime::OnSignal::Record);
+        // Bumped after arming, so only a later refresh can show it.
+        StatRegistry::global().counter("flight.fresh.bumps").add(7);
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(3);
+        while (FlightRecorder::global().dumpJson().find(
+                   "flight.fresh.bumps") == std::string::npos &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(20));
+        std::raise(SIGSEGV);
+    });
+
+    ASSERT_TRUE(WIFSIGNALED(status));
+    EXPECT_EQ(WTERMSIG(status), SIGSEGV);
+    auto doc = json::parseFile(path);
+    ASSERT_TRUE(doc.has_value());
+    const auto *stats = doc->find("stats");
+    ASSERT_NE(stats, nullptr);
+    const auto *tree = stats->find("stats");
+    ASSERT_NE(tree, nullptr);
+    const auto *bumps = tree->find("flight.fresh.bumps");
+    ASSERT_NE(bumps, nullptr);
+    EXPECT_EQ(bumps->find("value")->number, 7.0);
     std::remove(path.c_str());
 }
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * Live telemetry plane tests: ring-buffer storage, sampler
- * delta/EWMA math, Prometheus text rendering + validation, the
- * progress/ETA tracker, the json::escape control-char/UTF-8
- * contract, the obs::Runtime flag bootstrap, and the embedded HTTP
- * server exercised over real sockets - including a concurrent-scrape
- * suite that TSan runs in CI against live counter traffic.
+ * Live telemetry plane tests: Prometheus text rendering +
+ * validation, the progress/ETA tracker, the json::escape
+ * control-char/UTF-8 contract, the obs::Runtime flag bootstrap, and
+ * the embedded HTTP server exercised over real sockets - including a
+ * concurrent-scrape suite that TSan runs in CI against live counter
+ * traffic and the flight recorder's refresh calls.
  */
 
 #include <arpa/inet.h>
@@ -16,10 +16,13 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,172 +36,11 @@
 #include "obs/json.hh"
 #include "obs/progress.hh"
 #include "obs/runtime.hh"
-#include "obs/sampler.hh"
 #include "obs/stats.hh"
-#include "obs/timeseries.hh"
 #include "obs/trace.hh"
 
 using namespace coldboot;
 using namespace coldboot::obs;
-
-//
-// RingSeries
-//
-
-TEST(TelemetryRing, PushAndOrder)
-{
-    RingSeries ring(4);
-    EXPECT_EQ(ring.capacity(), 4u);
-    EXPECT_TRUE(ring.empty());
-    for (int i = 0; i < 3; ++i)
-        ring.push({double(i), double(i * 10), 0, 0});
-    EXPECT_EQ(ring.size(), 3u);
-    EXPECT_EQ(ring.at(0).value, 0.0);
-    EXPECT_EQ(ring.at(2).value, 20.0);
-    EXPECT_EQ(ring.latest().value, 20.0);
-}
-
-TEST(TelemetryRing, WrapsOverwritingOldest)
-{
-    RingSeries ring(3);
-    for (int i = 0; i < 7; ++i)
-        ring.push({double(i), double(i), 0, 0});
-    ASSERT_EQ(ring.size(), 3u);
-    // Only the newest 3 of the 7 pushes survive, oldest first.
-    EXPECT_EQ(ring.at(0).value, 4.0);
-    EXPECT_EQ(ring.at(1).value, 5.0);
-    EXPECT_EQ(ring.at(2).value, 6.0);
-    auto pts = ring.points();
-    ASSERT_EQ(pts.size(), 3u);
-    EXPECT_EQ(pts.front().value, 4.0);
-    EXPECT_EQ(pts.back().value, 6.0);
-}
-
-TEST(TelemetryRing, ClearEmpties)
-{
-    RingSeries ring(2);
-    ring.push({1, 1, 0, 0});
-    ring.clear();
-    EXPECT_TRUE(ring.empty());
-    EXPECT_EQ(ring.size(), 0u);
-}
-
-//
-// TelemetrySampler math (manual ticks on a private registry)
-//
-
-TEST(TelemetrySampler, DeltasAndValues)
-{
-    StatRegistry reg;
-    auto &c = reg.counter("t.counter", "test counter");
-    TelemetrySampler::Config cfg;
-    cfg.publish_worker_stats = false;
-    cfg.ring_capacity = 8;
-    TelemetrySampler sampler(cfg, &reg);
-
-    c.add(5);
-    sampler.sampleOnce();
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    c.add(10);
-    sampler.sampleOnce();
-
-    EXPECT_EQ(sampler.tickCount(), 2u);
-    auto series = sampler.seriesSnapshot();
-    ASSERT_EQ(series.size(), 1u);
-    EXPECT_EQ(series[0].name, "t.counter");
-    EXPECT_EQ(series[0].kind, "counter");
-    ASSERT_EQ(series[0].points.size(), 2u);
-    EXPECT_EQ(series[0].points[0].value, 5.0);
-    EXPECT_EQ(series[0].points[0].delta, 0.0); // first observation
-    EXPECT_EQ(series[0].points[1].value, 15.0);
-    EXPECT_EQ(series[0].points[1].delta, 10.0);
-    EXPECT_GT(series[0].points[1].rate, 0.0);
-    EXPECT_GT(series[0].ewma_rate, 0.0);
-    EXPECT_GT(series[0].points[1].unix_ms, 0.0);
-}
-
-TEST(TelemetrySampler, EwmaSmoothing)
-{
-    StatRegistry reg;
-    auto &c = reg.counter("t.c");
-    TelemetrySampler::Config cfg;
-    cfg.publish_worker_stats = false;
-    cfg.ewma_alpha = 0.5;
-    TelemetrySampler sampler(cfg, &reg);
-
-    sampler.sampleOnce();
-    for (int i = 0; i < 4; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        c.add(100);
-        sampler.sampleOnce();
-    }
-    auto series = sampler.seriesSnapshot();
-    ASSERT_EQ(series.size(), 1u);
-    // EWMA with alpha 0.5 after several same-sign rates sits strictly
-    // between zero and the latest instantaneous rate's neighborhood.
-    EXPECT_GT(series[0].ewma_rate, 0.0);
-}
-
-TEST(TelemetrySampler, RingBoundsMemory)
-{
-    StatRegistry reg;
-    auto &c = reg.counter("t.c");
-    TelemetrySampler::Config cfg;
-    cfg.publish_worker_stats = false;
-    cfg.ring_capacity = 4;
-    TelemetrySampler sampler(cfg, &reg);
-    for (int i = 0; i < 20; ++i) {
-        c.add(1);
-        sampler.sampleOnce();
-    }
-    auto series = sampler.seriesSnapshot();
-    ASSERT_EQ(series.size(), 1u);
-    EXPECT_EQ(series[0].points.size(), 4u);
-    EXPECT_EQ(series[0].points.back().value, 20.0);
-}
-
-TEST(TelemetrySampler, CoversAllStatKinds)
-{
-    StatRegistry reg;
-    reg.counter("t.counter").add(1);
-    reg.setScalar("t.scalar", 2.5);
-    reg.rate("t.rate").add(3);
-    reg.distribution("t.dist").sample(7.0);
-    TelemetrySampler::Config cfg;
-    cfg.publish_worker_stats = false;
-    TelemetrySampler sampler(cfg, &reg);
-    sampler.sampleOnce();
-    auto series = sampler.seriesSnapshot();
-    ASSERT_EQ(series.size(), 4u);
-    std::map<std::string, std::string> kinds;
-    for (const auto &s : series)
-        kinds[s.name] = s.kind;
-    EXPECT_EQ(kinds["t.counter"], "counter");
-    EXPECT_EQ(kinds["t.scalar"], "scalar");
-    EXPECT_EQ(kinds["t.rate"], "rate");
-    EXPECT_EQ(kinds["t.dist"], "distribution_count");
-}
-
-TEST(TelemetrySampler, BackgroundLoopTicks)
-{
-    StatRegistry reg;
-    reg.counter("t.c").add(1);
-    TelemetrySampler::Config cfg;
-    cfg.publish_worker_stats = false;
-    cfg.period = std::chrono::milliseconds(5);
-    TelemetrySampler sampler(cfg, &reg);
-    sampler.start();
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::seconds(5);
-    while (sampler.tickCount() < 3 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    sampler.stop();
-    EXPECT_GE(sampler.tickCount(), 3u);
-    uint64_t after = sampler.tickCount();
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(sampler.tickCount(), after); // stopped means stopped
-}
 
 //
 // Prometheus rendering + validation
@@ -307,22 +149,6 @@ TEST(PrometheusExport, RendersEdgelessDistributionAsGauges)
     EXPECT_TRUE(validatePrometheusText(text, &error)) << error;
 }
 
-TEST(PrometheusExport, SeriesEmitEwmaGauges)
-{
-    SeriesSnapshot sr;
-    sr.name = "a.count";
-    sr.kind = "counter";
-    sr.ewma_rate = 12.5;
-    std::string text = renderPrometheusText({}, nullptr);
-    EXPECT_TRUE(text.empty());
-    std::vector<SeriesSnapshot> series{sr};
-    text = renderPrometheusText({}, &series);
-    EXPECT_NE(text.find("a_count_ewma_per_second 12.5\n"),
-              std::string::npos);
-    std::string error;
-    EXPECT_TRUE(validatePrometheusText(text, &error)) << error;
-}
-
 TEST(PrometheusExport, ValidatorRejectsMalformed)
 {
     std::string error;
@@ -349,28 +175,6 @@ TEST(PrometheusExport, ValidatorRejectsMalformed)
         "# a free comment\nx{a=\"b\",c=\"d\\\"e\"} +Inf 123\n",
         &error))
         << error;
-}
-
-TEST(PrometheusExport, SeriesJsonParses)
-{
-    SeriesSnapshot sr;
-    sr.name = "t.c";
-    sr.kind = "counter";
-    sr.ewma_rate = 1.0;
-    sr.points.push_back({1000.0, 5.0, 0.0, 0.0});
-    sr.points.push_back({2000.0, 8.0, 3.0, 3.0});
-    auto doc = json::parse(renderSeriesJson({sr}));
-    ASSERT_TRUE(doc.has_value());
-    const auto *series = doc->find("series");
-    ASSERT_NE(series, nullptr);
-    ASSERT_EQ(series->array.size(), 1u);
-    const auto &entry = series->array[0];
-    EXPECT_EQ(entry.find("name")->str, "t.c");
-    EXPECT_EQ(entry.find("kind")->str, "counter");
-    const auto *points = entry.find("points");
-    ASSERT_NE(points, nullptr);
-    ASSERT_EQ(points->array.size(), 2u);
-    EXPECT_EQ(points->array[1].find("delta")->number, 3.0);
 }
 
 //
@@ -651,15 +455,13 @@ struct HttpResponse
     std::string raw;
 };
 
-/** Minimal raw-socket HTTP/1.0-style client for localhost tests. */
-HttpResponse
-httpRequest(uint16_t port, const std::string &path,
-            const std::string &method = "GET")
+/** A socket connected to a localhost port, or -1. */
+int
+connectLocal(uint16_t port)
 {
-    HttpResponse out;
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
-        return out;
+        return -1;
     sockaddr_in sa{};
     sa.sin_family = AF_INET;
     sa.sin_port = htons(port);
@@ -667,8 +469,20 @@ httpRequest(uint16_t port, const std::string &path,
     if (::connect(fd, reinterpret_cast<sockaddr *>(&sa),
                   sizeof(sa)) != 0) {
         ::close(fd);
-        return out;
+        return -1;
     }
+    return fd;
+}
+
+/** Minimal raw-socket HTTP/1.0-style client for localhost tests. */
+HttpResponse
+httpRequest(uint16_t port, const std::string &path,
+            const std::string &method = "GET")
+{
+    HttpResponse out;
+    int fd = connectLocal(port);
+    if (fd < 0)
+        return out;
     std::string req = method + " " + path +
                       " HTTP/1.1\r\nHost: localhost\r\n"
                       "Connection: close\r\n\r\n";
@@ -719,24 +533,63 @@ namespace
 /** Server bound to an ephemeral localhost port, for one test. */
 struct ServerFixture
 {
-    std::unique_ptr<TelemetrySampler> sampler;
-    std::unique_ptr<ObsHttpServer> server;
+    std::unique_ptr<ObsHttpServer> server =
+        std::make_unique<ObsHttpServer>();
 
-    explicit ServerFixture(bool with_sampler = true)
+    ServerFixture()
     {
-        if (with_sampler) {
-            TelemetrySampler::Config cfg;
-            cfg.publish_worker_stats = false;
-            sampler = std::make_unique<TelemetrySampler>(cfg);
-        }
-        ObsHttpServer::Options opts;
-        opts.sampler = sampler.get();
-        server = std::make_unique<ObsHttpServer>(opts);
         std::string error;
         bool ok = server->start(&error);
         EXPECT_TRUE(ok) << error;
     }
 };
+
+/**
+ * A client that connects and never sends a byte. A watchdog shuts
+ * the socket down after 10 s, so a server that would wait on it
+ * forever fails the test instead of hanging it.
+ */
+class SilentClient
+{
+  public:
+    explicit SilentClient(uint16_t port) : fd(connectLocal(port))
+    {
+        EXPECT_GE(fd, 0);
+        watchdog->submit([this] {
+            std::unique_lock<std::mutex> lock(mu);
+            if (!cv.wait_for(lock, std::chrono::seconds(10),
+                             [this] { return done; }))
+                ::shutdown(fd, SHUT_RDWR);
+        });
+    }
+
+    ~SilentClient()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            done = true;
+        }
+        cv.notify_all();
+        watchdog.reset(); // joins, so fd is no longer in use
+        ::close(fd);
+    }
+
+  private:
+    int fd;
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    std::unique_ptr<exec::ThreadPool> watchdog =
+        std::make_unique<exec::ThreadPool>(1);
+};
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
 
 } // anonymous namespace
 
@@ -768,7 +621,6 @@ TEST(ObsHttp, MetricsEndpointIsValidPrometheus)
 {
     StatRegistry::global().counter("telemetry.test.hits").add(3);
     ServerFixture fx;
-    fx.sampler->sampleOnce();
     auto resp = httpRequest(fx.server->port(), "/metrics");
     ASSERT_EQ(resp.status, 200);
     EXPECT_NE(resp.raw.find("text/plain; version=0.0.4"),
@@ -776,8 +628,6 @@ TEST(ObsHttp, MetricsEndpointIsValidPrometheus)
     std::string error;
     EXPECT_TRUE(validatePrometheusText(resp.body, &error)) << error;
     EXPECT_NE(resp.body.find("telemetry_test_hits"),
-              std::string::npos);
-    EXPECT_NE(resp.body.find("_ewma_per_second"),
               std::string::npos);
 }
 
@@ -788,7 +638,6 @@ TEST(ObsHttp, JsonEndpointsParse)
         ProgressTracker::global().startJob("telemetry.test.job", 4);
     job->advance(1);
     ServerFixture fx;
-    fx.sampler->sampleOnce();
 
     auto stats = httpRequest(fx.server->port(), "/stats");
     ASSERT_EQ(stats.status, 200);
@@ -798,11 +647,12 @@ TEST(ObsHttp, JsonEndpointsParse)
     ASSERT_NE(tree, nullptr);
     EXPECT_NE(tree->find("telemetry.test.json"), nullptr);
 
-    auto series = httpRequest(fx.server->port(), "/stats/series");
-    ASSERT_EQ(series.status, 200);
-    auto series_doc = json::parse(series.body);
-    ASSERT_TRUE(series_doc.has_value());
-    EXPECT_NE(series_doc->find("series"), nullptr);
+    auto flight = httpRequest(fx.server->port(), "/flight");
+    ASSERT_EQ(flight.status, 200);
+    auto flight_doc = json::parse(flight.body);
+    ASSERT_TRUE(flight_doc.has_value());
+    EXPECT_NE(flight_doc->find("threads"), nullptr);
+    EXPECT_NE(flight_doc->find("stats"), nullptr);
 
     auto progress = httpRequest(fx.server->port(), "/progress");
     ASSERT_EQ(progress.status, 200);
@@ -823,7 +673,7 @@ TEST(ObsHttp, JsonEndpointsParse)
 
 TEST(ObsHttp, QuitFlagAndStop)
 {
-    ServerFixture fx(false);
+    ServerFixture fx;
     EXPECT_FALSE(fx.server->quitRequested());
     auto resp = httpRequest(fx.server->port(), "/quit");
     EXPECT_EQ(resp.status, 200);
@@ -839,17 +689,10 @@ TEST(ObsHttp, QuitFlagAndStop)
 
 TEST(ObsHttp, MalformedRequestsAnswered)
 {
-    ServerFixture fx(false);
+    ServerFixture fx;
     // Raw garbage instead of an HTTP request line.
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = connectLocal(fx.server->port());
     ASSERT_GE(fd, 0);
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(fx.server->port());
-    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&sa),
-                        sizeof(sa)),
-              0);
     const char *junk = "\r\n\r\n";
     ASSERT_GT(::send(fd, junk, 4, 0), 0);
     std::string got;
@@ -864,31 +707,51 @@ TEST(ObsHttp, MalformedRequestsAnswered)
               200);
 }
 
+TEST(ObsHttp, SilentClientCannotWedgeTheServer)
+{
+    ServerFixture fx;
+    const uint16_t port = fx.server->port();
+    const double patience =
+        static_cast<double>(ObsHttpServer::ioTimeout.count()) + 1.0;
+    {
+        // Accepted first (listen backlogs are FIFO), so the scrape
+        // queues behind it until the receive timeout drops it.
+        SilentClient silent(port);
+        auto t0 = std::chrono::steady_clock::now();
+        EXPECT_EQ(httpRequest(port, "/healthz").status, 200);
+        EXPECT_LT(secondsSince(t0), patience);
+    }
+    SilentClient silent(port);
+    // Let the accept loop pick it up and block reading it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    auto t0 = std::chrono::steady_clock::now();
+    fx.server->stop();
+    EXPECT_LT(secondsSince(t0), 1.0);
+}
+
 //
 // Concurrent scrapes under live counter traffic (TSan suite)
 //
 
-TEST(TelemetryConcurrency, ScrapesRaceCountersAndSampler)
+TEST(TelemetryConcurrency, ScrapesRaceCountersAndRefresh)
 {
     auto &c = StatRegistry::global().counter(
         "telemetry.race.counter");
-    TelemetrySampler::Config cfg;
-    cfg.period = std::chrono::milliseconds(1);
-    TelemetrySampler sampler(cfg);
-    sampler.start();
-    ObsHttpServer::Options opts;
-    opts.sampler = &sampler;
-    ObsHttpServer server(opts);
+    ObsHttpServer server;
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
     uint16_t port = server.port();
 
-    // Scrapers on a pool, mutators on the caller: every combination
-    // of {counter add, sampler tick, HTTP render} overlaps.
-    exec::ThreadPool pool(4);
+    // Scrapers and the refresh task on a pool, mutators on the
+    // caller: every combination of {counter add, stats refresh, HTTP
+    // render} overlaps. The pool stands in for the global one, so the
+    // refresh reads the per-worker counters of a pool under load.
+    exec::ThreadPool pool(5);
+    exec::ThreadPool::ScopedGlobalOverride as_global(pool);
     exec::ThreadPool::TaskGroup group(pool);
     std::atomic<int> bad{0};
-    const char *paths[] = {"/metrics", "/stats", "/stats/series",
+    std::atomic<bool> mutating{true};
+    const char *paths[] = {"/metrics", "/stats", "/flight",
                            "/progress"};
     for (int t = 0; t < 4; ++t) {
         group.run([&, t] {
@@ -899,16 +762,25 @@ TEST(TelemetryConcurrency, ScrapesRaceCountersAndSampler)
             }
         });
     }
+    group.run([&] {
+        do {
+            exec::ThreadPool::publishGlobalWorkerStats();
+            FlightRecorder::global().updateStatsSnapshot();
+        } while (mutating.load());
+    });
     auto job = ProgressTracker::global().startJob(
         "telemetry.race.job", 1u << 16);
     for (int i = 0; i < (1 << 16); ++i) {
         c.add(1);
         job->advance(1);
     }
+    mutating.store(false);
     group.wait();
     job->finish();
     EXPECT_EQ(bad.load(), 0);
+    // The refresh mirrored every worker of the stand-in pool.
+    EXPECT_NE(StatRegistry::global().dumpJson().find(
+                  "exec.pool.worker.4.tasks_executed"),
+              std::string::npos);
     server.stop();
-    sampler.stop();
-    EXPECT_GE(sampler.tickCount(), 1u);
 }

@@ -241,11 +241,12 @@ cmdDescramble(int argc, char **argv)
 /**
  * Sacrificial crash-forensics mode: start a real mining sweep on the
  * global pool, give it a moment to leave span/progress breadcrumbs
- * in the flight rings, then die by SIGSEGV (or SIGABRT with "abort")
- * through an actual signal - the way a wild pointer would - so CI
- * can validate the post-mortem dump end to end. Does not return on
- * success: the crash handler writes the dump and the process dies
- * with the original signal.
+ * in the flight rings and to outlast one stats refresh
+ * (obs::Runtime::refreshPeriod), then die by SIGSEGV (or SIGABRT
+ * with "abort") through an actual signal - the way a wild pointer
+ * would - so CI can validate the post-mortem dump end to end. Does
+ * not return on success: the crash handler writes the dump and the
+ * process dies with the original signal.
  */
 int
 cmdCrashTest(int argc, char **argv)
@@ -261,7 +262,8 @@ cmdCrashTest(int argc, char **argv)
         obs::ScopedSpan span("crash_test.mine");
         attack::mineScramblerKeys(*dump, {});
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    std::this_thread::sleep_for(obs::Runtime::refreshPeriod +
+                                std::chrono::milliseconds(150));
     // The warning both tells an onlooker this death is intentional
     // and (via the log hook) guarantees the crashing thread owns a
     // flight ring with at least one event in it.
