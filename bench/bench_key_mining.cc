@@ -79,6 +79,7 @@ COLDBOOT_BENCH(key_mining)
                 "candidates", "true-keys", "exact", "MiB/s");
 
     uint64_t scanned_bytes = 0;
+    size_t prev_exact = 0;
     for (uint64_t prefix : prefixes) {
         MinerParams params;
         params.scan_limit_bytes = prefix;
@@ -116,8 +117,24 @@ COLDBOOT_BENCH(key_mining)
                    "ground-truth keys mined exactly");
         ctx.report(prefix_name + ".mib_per_second", mib_s,
                    "mining scan throughput");
+
+        // Shape: a longer prefix only adds copies, so it never mines
+        // fewer keys exactly.
+        ctx.check(exact >= prev_exact,
+                  "exact keys fell from " + std::to_string(prev_exact) +
+                      " to " + std::to_string(exact) + " at " +
+                      std::to_string(prefix >> 20) + " MiB");
+        prev_exact = exact;
     }
     ctx.setBytesProcessed(scanned_bytes);
+
+    // Shape: nearly every key by 16 MiB, as in the paper; the smoke
+    // profile's 2 MiB prefix holds a sixth of them.
+    const size_t want = ctx.pick<size_t>(4088, 600);
+    ctx.check(prev_exact >= want,
+              std::to_string(prev_exact) + " of 4096 keys mined exactly "
+                  "at " + std::to_string(prefixes.back() >> 20) +
+                  " MiB, want at least " + std::to_string(want));
 
     std::printf("\nExpected shape: the exact-key count approaches "
                 "4096 well before the\n16 MB prefix (the paper mined "

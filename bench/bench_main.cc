@@ -8,7 +8,9 @@
  * counters, RSS high-water mark, trace spans) and emits one
  * consolidated schema-versioned BENCH.json plus a human-readable
  * table. `tools/bench_compare` diffs two such files as the perf
- * regression gate.
+ * regression gate. A bench whose shape check fails (a paper claim
+ * its figures do not reproduce) makes the driver exit 1 after the
+ * report is written.
  *
  *   coldboot-bench --list
  *   coldboot-bench --profile smoke --out BENCH.json
@@ -175,5 +177,5 @@ main(int argc, char **argv)
                     out_path.c_str(), benchJsonSchemaVersion,
                     env.git_sha.c_str());
     }
-    return 0;
+    return reportFailedChecks(results, stderr);
 }

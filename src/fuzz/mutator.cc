@@ -93,7 +93,7 @@ mutateBytes(std::span<uint8_t> data, CaseRng &rng, uint32_t count,
                     ++stats->skipped;
                 break;
             }
-            std::swap_ranges(&data[a], &data[a + 64], &data[b]);
+            std::swap_ranges(&data[a], &data[a] + 64, &data[b]);
             if (stats)
                 ++stats->applied[3];
             break;
@@ -108,7 +108,7 @@ mutateBytes(std::span<uint8_t> data, CaseRng &rng, uint32_t count,
                 break;
             }
             // memmove semantics: ranges may overlap.
-            std::vector<uint8_t> tmp(&data[src], &data[src + len]);
+            std::vector<uint8_t> tmp(&data[src], &data[src] + len);
             std::copy(tmp.begin(), tmp.end(), &data[dst]);
             if (stats)
                 ++stats->applied[4];

@@ -35,6 +35,8 @@
  *                             state, never back
  *   miner-planted-keys        KeyMiner recovers planted scrambler
  *                             keys through a decay sweep
+ *   miner-cluster-exact       the miner's screened clustering and
+ *                             merge pass equal plain all-pairs loops
  *   search-planted-schedule   AES search soundness (any recovered key
  *                             equals the planted master) and
  *                             completeness at zero decay

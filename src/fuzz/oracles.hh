@@ -22,7 +22,7 @@ void registerScramblerOracles(std::vector<const Oracle *> &out);
 /** scrambler-litmus-diff, aes-litmus-brute, aes-schedule-inverse. */
 void registerLitmusOracles(std::vector<const Oracle *> &out);
 
-/** miner-planted-keys, search-planted-schedule,
+/** miner-planted-keys, miner-cluster-exact, search-planted-schedule,
  *  search-prefilter-exact, parallel-fingerprint. */
 void registerAttackOracles(std::vector<const Oracle *> &out);
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Attack-pipeline oracles: the miner and the AES search checked
- * against dumps with *known* planted ground truth, the search's
- * prefiltered scan against testing every pair, plus the
- * worker-count-independence fingerprint over the whole pipeline.
+ * against dumps with *known* planted ground truth, the miner's
+ * screened clustering and the search's prefiltered scan against
+ * plain every-pair loops, plus the worker-count-independence
+ * fingerprint over the whole pipeline.
  *
  * Statistical care: at nonzero decay the attack is allowed to miss
  * (the paper's own success curves drop below 100% past ~2% decay),
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <string>
 
@@ -154,6 +156,352 @@ class MinerPlantedKeysOracle final : public Oracle
                 res.feature(201); // allowed statistical miss
             }
         }
+        return res;
+    }
+};
+
+/** Bit distance of two 64-byte blocks, the obvious way. */
+unsigned
+plainDistance(std::span<const uint8_t> a, std::span<const uint8_t> b)
+{
+    unsigned d = 0;
+    for (size_t i = 0; i < 64; ++i)
+        d += static_cast<unsigned>(
+            std::popcount(static_cast<unsigned>(a[i] ^ b[i])));
+    return d;
+}
+
+/**
+ * The miner's clustering written as the plain loops it used before
+ * the prefix screen. Returns the reported keys, sorted as the miner
+ * sorts them, and counts clusters and merges.
+ */
+std::vector<MinedKey>
+referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
+              size_t &clusters, size_t &merges)
+{
+    using Block = std::array<uint8_t, 64>;
+    const unsigned dist = mp.cluster_distance;
+    std::vector<Block> reps;
+    std::vector<std::array<size_t, 512>> ones;
+    std::vector<size_t> members;
+    std::vector<uint64_t> first_offset;
+    for (uint64_t off = 0; off + 64 <= bytes.size(); off += 64) {
+        std::span<const uint8_t> block(&bytes[off], 64);
+        if (!attack::scramblerKeyLitmus(block,
+                                        mp.litmus_max_bit_errors) ||
+            (mp.drop_constant_blocks &&
+             attack::isConstantBlock(block)))
+            continue;
+        // Exact-chunk buckets: chunk 0-7, each in creation order. The
+        // miner keys a bucket by value * 8 + chunk index in 64 bits,
+        // so chunk values match modulo 2^61.
+        size_t home = SIZE_MAX;
+        for (unsigned c = 0; c < 8 && home == SIZE_MAX; ++c)
+            for (size_t idx = 0; idx < reps.size(); ++idx)
+                if (((loadLE64(&block[8 * c]) ^
+                      loadLE64(&reps[idx][8 * c])) << 3) == 0 &&
+                    plainDistance(block, reps[idx]) <= dist) {
+                    home = idx;
+                    break;
+                }
+        // Then the lowest-index representative within distance.
+        for (size_t idx = 0; idx < reps.size() && home == SIZE_MAX;
+             ++idx)
+            if (plainDistance(block, reps[idx]) <= dist)
+                home = idx;
+        if (home == SIZE_MAX) {
+            home = reps.size();
+            std::copy(block.begin(), block.end(),
+                      reps.emplace_back().begin());
+            ones.emplace_back();
+            members.push_back(0);
+            first_offset.push_back(off);
+        }
+        for (unsigned bit = 0; bit < 512; ++bit)
+            ones[home][bit] += (block[bit / 8] >> (bit % 8)) & 1;
+        ++members[home];
+    }
+
+    // Per-bit majority; a tie takes the first copy's bit.
+    std::vector<Block> majority(reps.size());
+    for (size_t i = 0; i < reps.size(); ++i) {
+        for (unsigned bit = 0; bit < 512; ++bit) {
+            bool rep_bit = (reps[i][bit / 8] >> (bit % 8)) & 1;
+            bool one = 2 * ones[i][bit] > members[i] ||
+                       (2 * ones[i][bit] == members[i] && rep_bit);
+            if (one)
+                majority[i][bit / 8] |=
+                    static_cast<uint8_t>(1u << (bit % 8));
+        }
+    }
+
+    // All-pairs merge pass; the largest constituent's key wins.
+    std::vector<MinedKey> out;
+    std::vector<bool> merged(reps.size(), false);
+    merges = 0;
+    for (size_t i = 0; i < reps.size(); ++i) {
+        if (merged[i])
+            continue;
+        Block key = majority[i];
+        size_t occurrences = members[i], biggest = members[i];
+        uint64_t first = first_offset[i];
+        for (size_t j = i + 1; j < reps.size(); ++j) {
+            if (merged[j] || plainDistance(key, majority[j]) > dist)
+                continue;
+            merged[j] = true;
+            ++merges;
+            occurrences += members[j];
+            first = std::min(first, first_offset[j]);
+            if (members[j] > biggest) {
+                biggest = members[j];
+                key = majority[j];
+            }
+        }
+        if (occurrences >= mp.min_occurrences)
+            out.emplace_back(key, occurrences, first);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const MinedKey &a, const MinedKey &b) {
+                  return a.occurrences > b.occurrences;
+              });
+    clusters = reps.size();
+    return out;
+}
+
+/**
+ * Flip the same bit in both 8-byte halves of one 16-byte row (pair
+ * @p p of 256). Every scrambler-litmus invariant XORs a 16-bit word
+ * with its partner eight bytes on, so such flips keep all of them.
+ */
+void
+flipPair(std::array<uint8_t, 64> &block, unsigned p)
+{
+    unsigned byte = 16 * (p >> 6) + ((p >> 3) & 7);
+    auto bit = static_cast<uint8_t>(1u << (p & 7));
+    block[byte] ^= bit;
+    block[byte + 8] ^= bit;
+}
+
+/**
+ * miner-cluster-exact: the miner's screened clustering equals the
+ * plain loops it replaced (referenceMine above): the same keys,
+ * occurrence counts and first offsets. The dumps hold more clusters
+ * than one 256-key screen tile, copies 78-82 bits from their
+ * representative, and keys split across three clusters whose
+ * majorities the merge pass joins again.
+ */
+class MinerClusterExactOracle final : public Oracle
+{
+  public:
+    const char *name() const override { return "miner-cluster-exact"; }
+
+    const char *
+    description() const override
+    {
+        return "the miner's screened clustering and merge pass report "
+               "the keys, counts and offsets of plain all-pairs loops";
+    }
+
+    unsigned smokeStride() const override { return 4; }
+
+    OracleResult
+    run(const FuzzCaseParams &params) const override
+    {
+        OracleResult res;
+        CaseRng rng(params.seed);
+        using Block = std::array<uint8_t, 64>;
+
+        // A random order of 0 to @p n - 1. Masks take disjoint runs
+        // of flip pairs in such an order; pairs 0-63 lie in row 0,
+        // inside the 192-bit prefix the miner screens on.
+        auto shuffled = [&](unsigned n) {
+            std::vector<unsigned> order(n);
+            for (unsigned i = 0; i < n; ++i)
+                order[i] = i;
+            for (size_t i = n - 1; i > 0; --i)
+                std::swap(order[i], order[rng.below(i + 1)]);
+            return order;
+        };
+        memctrl::Ddr4Scrambler scrambler(rng.next(), 0);
+        const auto pool = shuffled(4096);
+        size_t next_key = 0;
+        auto poolKey = [&] {
+            Block key;
+            scrambler.poolKey(pool[next_key++], key.data());
+            return key;
+        };
+        const unsigned decay = rng.pick({0u, 3u, 8u});
+        auto decayed = [&](Block key) {
+            for (uint64_t f = decay ? rng.below(decay + 1) : 0; f > 0;
+                 --f) {
+                unsigned bit = static_cast<unsigned>(rng.below(512));
+                key[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+            }
+            return key;
+        };
+
+        // A group's runs keep their order in the dump, and a run's
+        // blocks are consecutive litmus hits.
+        using Run = std::vector<Block>;
+        std::vector<std::vector<Run>> groups;
+        // Plain keys: more distinct keys than one screen tile.
+        for (uint64_t n = 260 + rng.below(120); n > 0; --n) {
+            Block key = poolKey();
+            auto &g = groups.emplace_back();
+            for (uint64_t c = 1 + rng.below(3); c > 0; --c)
+                g.push_back({decayed(key)});
+        }
+        // A pristine representative, then copies 78-82 bits off it:
+        // spread over the block, or all inside the screened prefix.
+        for (uint64_t n = 4 + rng.below(8); n > 0; --n) {
+            Block key = poolKey();
+            auto &g = groups.emplace_back();
+            g.push_back({key});
+            for (uint64_t c = 1 + rng.below(2); c > 0; --c) {
+                const bool in_prefix = rng.chance(0.5);
+                auto order = shuffled(in_prefix ? 64 : 256);
+                Block copy = key;
+                for (unsigned p = 0; p < 39; ++p)
+                    flipPair(copy, order[p]);
+                for (uint64_t s = rng.below(5); s > 0;) {
+                    unsigned bit = static_cast<unsigned>(
+                        rng.below(in_prefix ? 192 : 512));
+                    auto m = static_cast<uint8_t>(1u << (bit % 8));
+                    if ((copy[bit / 8] ^ key[bit / 8]) & m)
+                        continue;
+                    copy[bit / 8] ^= m;
+                    --s;
+                }
+                g.push_back({copy});
+            }
+        }
+        // key ^ m1 and key ^ m2, 84 bits apart, then key, 42 bits
+        // from both and, with each mask in all eight chunks, in no
+        // bucket: it must join the lower-index cluster.
+        for (uint64_t n = 2 + rng.below(4); n > 0; --n) {
+            Block key = poolKey();
+            auto order = shuffled(256);
+            Block near1 = key, near2 = key;
+            for (unsigned p = 0; p < 21; ++p) {
+                flipPair(near1, order[p]);
+                flipPair(near2, order[21 + p]);
+            }
+            groups.push_back({{near1}, {near2}, {key}});
+        }
+        // Split keys: three clusters of one key that the merge pass
+        // joins again. m1 and m4 are flip pairs in rows 1-3; m2 and
+        // m3 are pairs in row 0, inside the screened prefix, and m2
+        // or m3 is often 80 bits, the screen's budget.
+        //  - key ^ m1 starts cluster A; the pristine copies after it
+        //    join it and pull its majority back to key.
+        //  - key ^ m2 ^ m4 starts cluster B, too far from A's
+        //    representative; the copies of key ^ m2 after it pull
+        //    B's majority to within the distance of key.
+        //  - key ^ m2 ^ m3, right after B's first block, starts
+        //    cluster C, within the distance of B's majority but not
+        //    of key. When B has more copies than A, B's majority
+        //    replaces key, and only a merge pass that screens with
+        //    the replaced key also joins C.
+        for (uint64_t n = 2 + rng.below(6); n > 0; --n) {
+            Block key = poolKey();
+            auto inner = shuffled(64);
+            auto outer = shuffled(192);
+            auto below = [&](unsigned bound) {
+                return static_cast<unsigned>(rng.below(bound));
+            };
+            unsigned b = rng.chance(0.5) ? 40 : 21 + below(20);
+            unsigned c_max = std::min(40u, 64 - b);
+            unsigned c = rng.chance(0.5) ? c_max
+                                         : 21 + below(c_max - 20);
+            unsigned a = 21 + below(20);
+            unsigned d = 41 - c + below(c);
+            Block near1 = key, near2 = key;
+            for (unsigned p = 0; p < a; ++p)
+                flipPair(near1, 64 + outer[p]);
+            for (unsigned p = 0; p < b; ++p)
+                flipPair(near2, inner[p]);
+            Block first2 = near2, near3 = near2;
+            for (unsigned p = a; p < a + d; ++p)
+                flipPair(first2, 64 + outer[p]);
+            for (unsigned p = b; p < b + c; ++p)
+                flipPair(near3, inner[p]);
+            auto &g = groups.emplace_back();
+            g.push_back({near1});
+            for (uint64_t n_key = 2 + rng.below(2); n_key > 0; --n_key)
+                g.push_back({key});
+            g.push_back({first2, near3});
+            for (uint64_t n2 = 2 + rng.below(5); n2 > 0; --n2)
+                g.push_back({near2});
+            for (uint64_t n3 = rng.below(3); n3 > 0; --n3)
+                g.push_back({near3});
+        }
+
+        // Random lines in ascending order, then a random interleaving
+        // of the groups' runs.
+        size_t planted = 0, runs = 0;
+        for (const auto &g : groups) {
+            runs += g.size();
+            for (const auto &run : g)
+                planted += run.size();
+        }
+        const uint64_t lines = (uint64_t{2048} << params.scale);
+        std::vector<uint8_t> bytes(lines * 64);
+        rng.fill(bytes);
+        std::vector<uint64_t> slots;
+        for (uint64_t line = 0; line < lines; ++line)
+            if (rng.below(lines - line) < planted - slots.size())
+                slots.push_back(line);
+        std::vector<size_t> cursor(groups.size(), 0);
+        std::vector<ProtectedRegion> regions;
+        auto slot = slots.begin();
+        for (; runs > 0; --runs) {
+            uint64_t pick = rng.below(runs);
+            size_t g = 0;
+            for (; pick >= groups[g].size() - cursor[g]; ++g)
+                pick -= groups[g].size() - cursor[g];
+            for (const Block &block : groups[g][cursor[g]++]) {
+                uint64_t off = *slot++ * 64;
+                std::copy(block.begin(), block.end(), &bytes[off]);
+                regions.push_back({off, off + 64});
+            }
+        }
+        mutateBytes(bytes, rng, params.energy * 8, regions);
+
+        MinerParams mp;
+        mp.threads = 1; // cases already run in parallel
+        mp.cluster_distance = rng.pick(
+            {80u, 80u, 80u, 40u + static_cast<unsigned>(rng.below(120))});
+        mp.min_occurrences = rng.pick({size_t{1}, size_t{2}, size_t{3}});
+        attack::MinerStats stats;
+        exec::MemoryDumpSource source(bytes);
+        auto mined = attack::mineScramblerKeys(source, mp, &stats);
+        size_t clusters = 0, merges = 0;
+        auto want = referenceMine(bytes, mp, clusters, merges);
+
+        size_t i = 0;
+        while (i < mined.size() && i < want.size() &&
+               mined[i].key == want[i].key &&
+               mined[i].occurrences == want[i].occurrences &&
+               mined[i].first_offset == want[i].first_offset)
+            ++i;
+        if (i != mined.size() || i != want.size() ||
+            stats.clusters != clusters) {
+            res.fail("miner reports " + std::to_string(mined.size()) +
+                     " keys from " + std::to_string(stats.clusters) +
+                     " clusters, the plain loops " +
+                     std::to_string(want.size()) + " from " +
+                     std::to_string(clusters) +
+                     "; first difference at key " + std::to_string(i) +
+                     " (distance " +
+                     std::to_string(mp.cluster_distance) + ")");
+            return res;
+        }
+        if (clusters > 256)
+            res.feature(1); // more clusters than one screen tile
+        if (merges > 0)
+            res.feature(2); // the merge pass fired
+        res.feature(mp.cluster_distance == 80 ? 3 : 4);
         return res;
     }
 };
@@ -488,6 +836,7 @@ class ParallelFingerprintOracle final : public Oracle
 };
 
 const MinerPlantedKeysOracle miner_oracle;
+const MinerClusterExactOracle cluster_oracle;
 const SearchPlantedScheduleOracle search_oracle;
 const SearchPrefilterExactOracle prefilter_oracle;
 const ParallelFingerprintOracle fingerprint_oracle;
@@ -498,6 +847,7 @@ void
 registerAttackOracles(std::vector<const Oracle *> &out)
 {
     out.push_back(&miner_oracle);
+    out.push_back(&cluster_oracle);
     out.push_back(&search_oracle);
     out.push_back(&prefilter_oracle);
     out.push_back(&fingerprint_oracle);

@@ -8,7 +8,6 @@
  */
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,15 +135,14 @@ class SimdVsScalarOracle final : public Oracle
                 }
                 std::vector<uint8_t> into(n);
                 k.xor_into(into.data(), a, b, n);
-                if (std::memcmp(into.data(), ref_into.data(), n) !=
-                    0) {
+                if (into != ref_into) {
                     res.fail("xor_into diverges: " + tag);
                     return res;
                 }
                 std::vector<uint8_t> x(a, a + n), y(a, a + n);
                 scalar.xor_bytes(x.data(), b, n);
                 k.xor_bytes(y.data(), b, n);
-                if (std::memcmp(x.data(), y.data(), n) != 0) {
+                if (x != y) {
                     res.fail("xor_bytes diverges: " + tag);
                     return res;
                 }

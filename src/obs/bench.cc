@@ -144,6 +144,14 @@ BenchContext::report(const std::string &key, double value,
     StatRegistry::global().setScalar("bench." + key, value, desc);
 }
 
+void
+BenchContext::check(bool ok, const std::string &what)
+{
+    if (!ok && std::find(failed_checks.begin(), failed_checks.end(),
+                         what) == failed_checks.end())
+        failed_checks.push_back(what);
+}
+
 //
 // Runner
 //
@@ -334,6 +342,7 @@ runBench(const BenchInfo &info, const RunConfig &config)
     result.counters = total;
     result.max_rss_kib = maxRssKib();
     result.reports = ctx.reports();
+    result.failed_checks = ctx.failedChecks();
 
     double median_s = result.wall_ns.median * 1e-9;
     if (median_s > 0.0) {
@@ -356,6 +365,20 @@ runBench(const BenchInfo &info, const RunConfig &config)
                            result.bytes_per_second,
                            "derived throughput at the median time");
     return result;
+}
+
+int
+reportFailedChecks(const std::vector<BenchResult> &results,
+                   std::FILE *out)
+{
+    int status = 0;
+    for (const auto &result : results)
+        for (const auto &what : result.failed_checks) {
+            std::fprintf(out, "shape check failed: %s: %s\n",
+                         result.name.c_str(), what.c_str());
+            status = 1;
+        }
+    return status;
 }
 
 std::string

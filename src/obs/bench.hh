@@ -30,6 +30,7 @@
 #define COLDBOOT_OBS_BENCH_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -153,6 +154,14 @@ class BenchContext
     void report(const std::string &key, double value,
                 const std::string &desc = "");
 
+    /**
+     * Check one expected shape of the bench's figures (a paper claim
+     * they must reproduce). When @p ok is false, @p what is recorded
+     * as a failed check: coldboot-bench names it and exits 1 after
+     * writing its report.
+     */
+    void check(bool ok, const std::string &what);
+
     uint64_t bytesProcessed() const { return bytes_processed; }
     uint64_t itemsProcessed() const { return items_processed; }
 
@@ -170,12 +179,19 @@ class BenchContext
 
     const std::string &benchName() const { return name; }
 
+    /** Failed checks, each once, in the order first seen. */
+    const std::vector<std::string> &failedChecks() const
+    {
+        return failed_checks;
+    }
+
   private:
     std::string name;
     bool smoke_run;
     uint64_t bytes_processed = 0;
     uint64_t items_processed = 0;
     std::map<std::string, Report> report_map;
+    std::vector<std::string> failed_checks;
 };
 
 //
@@ -216,6 +232,8 @@ struct BenchResult
     uint64_t max_rss_kib = 0;
     /** Figures published via BenchContext::report(). */
     std::map<std::string, BenchContext::Report> reports;
+    /** Shape checks that failed in any run (BenchContext::check). */
+    std::vector<std::string> failed_checks;
 };
 
 /** Build/host fingerprint embedded in BENCH.json. */
@@ -238,6 +256,14 @@ EnvironmentInfo collectEnvironment();
  * `bench.<name>`).
  */
 BenchResult runBench(const BenchInfo &info, const RunConfig &config);
+
+/**
+ * Name every failed shape check of @p results on @p out, one line
+ * each, and return the driver's exit status: 0 when every check held,
+ * 1 otherwise.
+ */
+int reportFailedChecks(const std::vector<BenchResult> &results,
+                       std::FILE *out);
 
 /** One row of the human-readable result table (helper for the driver). */
 std::string resultTableRow(const BenchResult &result);

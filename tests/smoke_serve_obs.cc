@@ -303,7 +303,17 @@ liveScrapeTest(const std::string &tool, const std::string &dump_path)
     check(all_done, "every job finished at 100%");
 
     // /metrics must be valid Prometheus text exposition while live.
+    // The per-worker scalars are mirrored every 250 ms, so an attack
+    // shorter than that can finish before the first mirror of the
+    // pool it ran on: give the lingering tool a few periods.
     auto metrics = httpGet(port, "/metrics");
+    for (int poll = 0;
+         poll < 40 && metrics.body.find("exec_pool_worker_0_") ==
+                          std::string::npos;
+         ++poll) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        metrics = httpGet(port, "/metrics");
+    }
     check(metrics.status == 200, "/metrics answers 200");
     check(metrics.raw.find("text/plain; version=0.0.4") !=
               std::string::npos,

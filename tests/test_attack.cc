@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -127,6 +129,97 @@ TEST(KeyMiner, ScanLimitHonored)
     MinerStats stats;
     mineScramblerKeys(dump, params, &stats);
     EXPECT_EQ(stats.blocks_scanned, KiB(256) / 64);
+}
+
+TEST(KeyMiner, VoteTalliesDoNotWrapAt65536Copies)
+{
+    // 16-bit per-bit tallies wrap every 1-bit's count to 0 at the
+    // 65,536th copy, which mines a wrong key.
+    std::array<uint8_t, 64> key;
+    memctrl::Ddr4Scrambler(7, 0).poolKey(5, key.data());
+    MemoryImage dump(MiB(4));
+    auto bytes = dump.bytesMutable();
+    for (size_t off = 0; off < bytes.size(); off += 64)
+        std::copy(key.begin(), key.end(), &bytes[off]);
+
+    MinerParams params;
+    params.scan_limit_bytes = 0; // the whole dump
+    auto mined = mineScramblerKeys(dump, params);
+    ASSERT_EQ(mined.size(), 1u);
+    EXPECT_EQ(mined[0].key, key);
+    EXPECT_EQ(mined[0].occurrences, 65536u);
+}
+
+/**
+ * @p key with flip pairs @p first to @p first + @p pairs - 1 applied.
+ * Pair p flips bit p / 32 of byte (p / 4) % 8 of row p % 4 and the
+ * same bit eight bytes on, which keeps every litmus invariant; any
+ * four consecutive pairs touch all eight 8-byte chunks.
+ */
+std::array<uint8_t, 64>
+withRowPairFlips(std::array<uint8_t, 64> key, unsigned first,
+                 unsigned pairs)
+{
+    for (unsigned p = first; p < first + pairs; ++p) {
+        unsigned byte = 16 * (p % 4) + (p / 4) % 8;
+        auto bit = static_cast<uint8_t>(1u << (p / 32));
+        key[byte] ^= bit;
+        key[byte + 8] ^= bit;
+    }
+    return key;
+}
+
+TEST(KeyMiner, CountsClusteringWork)
+{
+    memctrl::Ddr4Scrambler scr(0xC0DE, 0);
+    std::array<uint8_t, 64> a, k;
+    scr.poolKey(5, a.data());
+    scr.poolKey(9, k.data());
+    // k split in two: k ^ m1 and k ^ m2, 60 bits from k each and 120
+    // bits apart.
+    auto split1 = withRowPairFlips(k, 0, 30);
+    auto split2 = withRowPairFlips(k, 32, 30);
+
+    MemoryImage dump(KiB(64));
+    auto bytes = dump.bytesMutable();
+    Xoshiro256StarStar rng(3);
+    rng.fillBytes(bytes);
+    // In dump order: three copies of a; k ^ m1, which starts a
+    // cluster; two copies of k, which join it and pull its majority
+    // to k; k ^ m2, which is too far from k ^ m1 and starts a third
+    // cluster that the merge pass joins to the second.
+    const std::array<uint8_t, 64> *order[] = {&a, &a, &a, &split1,
+                                              &k, &k, &split2};
+    for (size_t n = 0; n < 7; ++n)
+        std::copy(order[n]->begin(), order[n]->end(),
+                  &bytes[(50 * n + 1) * 64]);
+
+    auto &registry = obs::StatRegistry::global();
+    auto &joins = registry.counter("attack.miner.bucket_joins");
+    auto &screened = registry.counter("attack.miner.screened");
+    auto &merges = registry.counter("attack.miner.merges");
+    const uint64_t joins0 = joins.value(), screened0 = screened.value(),
+                   merges0 = merges.value();
+    MinerStats stats;
+    auto mined = mineScramblerKeys(dump, {}, &stats);
+
+    EXPECT_EQ(stats.litmus_hits, 7u);
+    EXPECT_EQ(stats.clusters, 3u);
+    // The later copies of a share its chunks; nothing else does.
+    EXPECT_EQ(joins.value() - joins0, 2u);
+    // Novelty proofs of the other five hits against 0, 1, 2, 2 and 2
+    // representatives, then the merge pass: a against both later
+    // majorities, k against the last.
+    EXPECT_EQ(screened.value() - screened0, 10u);
+    EXPECT_EQ(merges.value() - merges0, 1u);
+
+    ASSERT_EQ(mined.size(), 2u);
+    EXPECT_EQ(mined[0].key, k);
+    EXPECT_EQ(mined[0].occurrences, 4u);
+    EXPECT_EQ(mined[0].first_offset, 151u * 64);
+    EXPECT_EQ(mined[1].key, a);
+    EXPECT_EQ(mined[1].occurrences, 3u);
+    EXPECT_EQ(mined[1].first_offset, 64u);
 }
 
 //

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -213,6 +214,46 @@ TEST(BenchHarness, RunBenchAndEmitJson)
     ASSERT_NE(answer, nullptr);
     EXPECT_DOUBLE_EQ(answer->find("value")->number, 42.0);
     EXPECT_EQ(answer->find("desc")->str, "the answer");
+}
+
+namespace
+{
+
+void
+shapeCheckedBench(BenchContext &ctx)
+{
+    ctx.report("shape.keys", 7.0);
+    ctx.check(true, "holds");
+    ctx.check(false, "7 keys, want at least 8");
+}
+
+} // anonymous namespace
+
+TEST(BenchHarness, FailedShapeCheckFailsTheRun)
+{
+    RunConfig config;
+    config.repetitions = 2;
+    config.warmup = 1;
+    config.quiet = true;
+    BenchResult failing =
+        runBench({"shape_probe", &shapeCheckedBench}, config);
+    BenchResult passing = runBench({"trivial", &trivialBench}, config);
+
+    // Named once, however many runs repeat it.
+    ASSERT_EQ(failing.failed_checks.size(), 1u);
+    EXPECT_EQ(failing.failed_checks[0], "7 keys, want at least 8");
+    EXPECT_TRUE(passing.failed_checks.empty());
+
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ(reportFailedChecks({passing}, out), 0);
+    EXPECT_EQ(reportFailedChecks({passing, failing}, out), 1);
+    std::rewind(out);
+    char line[128] = {};
+    ASSERT_NE(std::fgets(line, sizeof(line), out), nullptr);
+    std::fclose(out);
+    EXPECT_STREQ(line, "shape check failed: shape_probe: 7 keys, want "
+                       "at least 8\n");
 }
 
 TEST(BenchHarness, RegistryHoldsRegisteredBench)

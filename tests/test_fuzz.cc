@@ -374,12 +374,33 @@ TEST(Corpus, CheckedInCorpusReplaysClean)
     }
 }
 
+TEST(Corpus, MinerClusterSeedsReachASecondTileAndAMerge)
+{
+    // The screened clustering's two paths no other oracle reaches:
+    // more clusters than one screen tile (feature 1) and a merge pass
+    // that fires (feature 2). Every corpus seed reaches both.
+    size_t seeds = 0;
+    for (const auto &e :
+         loadCorpusDir(COLDBOOT_SOURCE_DIR "/tests/fuzz_corpus")) {
+        if (e.oracle != "miner-cluster-exact")
+            continue;
+        ++seeds;
+        OracleResult res = findOracle(e.oracle)->run(e.params);
+        EXPECT_FALSE(res.violation) << res.message;
+        std::set<uint32_t> reached(res.features.begin(),
+                                   res.features.end());
+        EXPECT_TRUE(reached.count(1) && reached.count(2))
+            << formatCorpusEntry(e);
+    }
+    EXPECT_GE(seeds, 1u);
+}
+
 // ------------------------------------------------------------ registry
 
 TEST(OracleRegistry, CatalogueIsWellFormed)
 {
     const auto &oracles = allOracles();
-    ASSERT_EQ(oracles.size(), 12u);
+    ASSERT_EQ(oracles.size(), 13u);
     std::set<std::string> names;
     for (const Oracle *o : oracles) {
         EXPECT_TRUE(names.insert(o->name()).second)
