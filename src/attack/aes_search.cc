@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -13,8 +12,7 @@
 #include "common/logging.hh"
 #include "attack/litmus.hh"
 #include "simd/simd.hh"
-#include "exec/thread_pool.hh"
-#include "obs/progress.hh"
+#include "exec/scan.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 
@@ -498,88 +496,69 @@ scanAesKeyTables(const exec::DumpSource &dump,
     struct ChunkScan
     {
         std::vector<AesTableHit> hits;
-        uint64_t blocks_scanned = 0;
         uint64_t attempts = 0;
         uint64_t prefilter_passes = 0;
     };
     SearchStats local;
     std::vector<AesTableHit> all_hits;
 
-    // params.threads: 0 = the shared global pool, 1 = serial
-    // in-line, N > 1 = a dedicated pool of N workers.
-    std::unique_ptr<exec::ThreadPool> own_pool;
-    if (params.threads > 1)
-        own_pool = std::make_unique<exec::ThreadPool>(params.threads);
-    bool sequential = params.threads == 1;
-
-    // Progress covers the scan (the dominant cost; reconstruction
-    // touches only the handful of litmus hits).
-    auto progress = obs::ProgressTracker::global().startJob(
-        "attack.search", end > begin ? end - begin : 0);
-    {
-        obs::ScopedSpan span("search.scan");
-        exec::parallelMapReduceChunks<ChunkScan>(
-            begin, end, scanGrain(candidate_keys.size()),
-            [&](const exec::ChunkRange &c) {
-                exec::checkpointIfCancellable(params.cancel);
-                thread_local exec::ChunkBuffer buf;
-                thread_local std::vector<uint32_t> scratch;
-                dump.prefetch(c.begin, c.end - c.begin);
-                auto bytes =
-                    dump.chunk(c.begin, c.end - c.begin, buf);
-                ChunkScan out;
-                for (uint64_t off = 0; off + 64 <= bytes.size();
-                     off += 64) {
-                    ++out.blocks_scanned;
-                    auto raw = bytes.subspan(off, 64);
-                    if (isConstantBlock(raw))
+    exec::scanDump<ChunkScan>(
+        dump,
+        {.name = "search.scan",
+         .begin = begin,
+         .end = end,
+         .grain = scanGrain(candidate_keys.size()),
+         .threads = params.threads,
+         .cancel = params.cancel},
+        [&](std::span<const uint8_t> bytes, const exec::ChunkRange &c) {
+            thread_local std::vector<uint32_t> scratch;
+            ChunkScan out;
+            for (uint64_t off = 0; off + 64 <= bytes.size();
+                 off += 64) {
+                auto raw = bytes.subspan(off, 64);
+                if (isConstantBlock(raw))
+                    continue;
+                uint32_t raw_words[16];
+                for (unsigned i = 0; i < 16; ++i)
+                    raw_words[i] = aesWordFromBytes(&raw[4 * i]);
+                out.attempts += candidate_keys.size();
+                auto passed = screen.survivors(raw_words, scratch);
+                out.prefilter_passes += passed.size();
+                for (uint32_t ki : passed) {
+                    // Entropy guard (plausibleScheduleEntropy):
+                    // rejects zero blocks, padding and text. The
+                    // descrambled weight is popcount(raw ^ key) -
+                    // byte order cancels under XOR - so the fused
+                    // kernel screens candidates before any plain
+                    // words are materialized.
+                    unsigned weight = static_cast<unsigned>(
+                        simd::hammingDistance(
+                            raw.data(), candidate_keys[ki].key.data(),
+                            64));
+                    if (weight < 180 || weight > 332)
                         continue;
-                    uint32_t raw_words[16];
+                    uint32_t plain_words[16];
                     for (unsigned i = 0; i < 16; ++i)
-                        raw_words[i] = aesWordFromBytes(&raw[4 * i]);
-                    out.attempts += candidate_keys.size();
-                    auto passed = screen.survivors(raw_words, scratch);
-                    out.prefilter_passes += passed.size();
-                    for (uint32_t ki : passed) {
-                        // Entropy guard (plausibleScheduleEntropy):
-                        // rejects zero blocks, padding and text. The
-                        // descrambled weight is popcount(raw ^ key) -
-                        // byte order cancels under XOR - so the
-                        // fused kernel screens candidates before any
-                        // plain words are materialized.
-                        unsigned weight = static_cast<unsigned>(
-                            simd::hammingDistance(
-                                raw.data(),
-                                candidate_keys[ki].key.data(), 64));
-                        if (weight < 180 || weight > 332)
-                            continue;
-                        uint32_t plain_words[16];
-                        for (unsigned i = 0; i < 16; ++i)
-                            plain_words[i] =
-                                raw_words[i] ^ key_words[ki][i];
-                        auto hit = aesKeyLitmusWords(
-                            plain_words, params.key_size,
-                            params.litmus_max_bit_errors,
-                            params.litmus_max_bits_per_check);
-                        if (hit)
-                            out.hits.push_back(
-                                {c.begin + off, ki, hit->start_word});
-                    }
+                        plain_words[i] = raw_words[i] ^ key_words[ki][i];
+                    auto hit = aesKeyLitmusWords(
+                        plain_words, params.key_size,
+                        params.litmus_max_bit_errors,
+                        params.litmus_max_bits_per_check);
+                    if (hit)
+                        out.hits.push_back(
+                            {c.begin + off, ki, hit->start_word});
                 }
-                return out;
-            },
-            [&](ChunkScan &&s, const exec::ChunkRange &c) {
-                local.blocks_scanned += s.blocks_scanned;
-                local.descramble_attempts += s.attempts;
-                local.prefilter_passes += s.prefilter_passes;
-                local.litmus_hits += s.hits.size();
-                all_hits.insert(all_hits.end(), s.hits.begin(),
-                                s.hits.end());
-                progress->advance(c.end - c.begin);
-            },
-            own_pool.get(), sequential);
-    }
-    progress->finish();
+            }
+            return out;
+        },
+        [&](ChunkScan &&s, const exec::ChunkRange &c) {
+            local.blocks_scanned += (c.end - c.begin) / 64;
+            local.descramble_attempts += s.attempts;
+            local.prefilter_passes += s.prefilter_passes;
+            local.litmus_hits += s.hits.size();
+            all_hits.insert(all_hits.end(), s.hits.begin(),
+                            s.hits.end());
+        });
     if (stats)
         *stats = local;
     return all_hits;

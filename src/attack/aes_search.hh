@@ -80,23 +80,15 @@ struct SearchParams
     unsigned repair_iterations = 8;
     /** Abort after this many reconstruction attempts (0 = no cap). */
     uint64_t max_reconstructions = 4096;
-    /**
-     * Worker threads for the scan phase: 0 (default) runs on the
-     * shared global exec::ThreadPool (sized by `--threads` /
-     * COLDBOOT_THREADS / hardware concurrency), 1 scans serially
-     * in-line, N > 1 uses a dedicated pool of N workers. The found
-     * keys are byte-identical in every mode (DESIGN.md §9).
-     */
+    /** The scan's pool, as exec::ScanPlan::threads; the found keys
+     *  are byte-identical for every value (DESIGN.md §9). */
     unsigned threads = 0;
     /** First dump byte to scan (line aligned). */
     uint64_t scan_start = 0;
     /** Bytes to scan (0 = to end of dump). */
     uint64_t scan_bytes = 0;
-    /**
-     * Optional cooperative cancellation: checked once per scan chunk
-     * and once per reconstruction attempt; a raised token makes the
-     * call throw exec::CancelledError. Null = run to completion.
-     */
+    /** Checked once per scan chunk and per reconstructed hit; a
+     *  raised token makes the call throw exec::CancelledError. */
     const exec::CancelToken *cancel = nullptr;
 };
 

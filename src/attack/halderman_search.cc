@@ -5,9 +5,7 @@
 #include <set>
 
 #include "common/logging.hh"
-#include "exec/thread_pool.hh"
-#include "obs/progress.hh"
-#include "obs/trace.hh"
+#include "exec/scan.hh"
 #include "simd/simd.hh"
 
 namespace coldboot::attack
@@ -44,7 +42,8 @@ haldermanSearch(const exec::DumpSource &image,
     std::set<std::vector<uint8_t>> seen;
     if (end < begin || end - begin < sched_bytes)
         return out;
-    uint64_t windows = (end - begin - sched_bytes) / params.step + 1;
+    uint64_t last_window =
+        begin + (end - begin - sched_bytes) / params.step * params.step;
 
     // Evaluate one candidate window against the plaintext bytes that
     // follow it. A short incremental screen rejects almost every
@@ -107,40 +106,29 @@ haldermanSearch(const exec::DumpSource &image,
         found.push_back(std::move(key));
     };
 
-    // The windows overlap (each spans sched_bytes), so every chunk
-    // reads its positions plus the schedule-length tail; candidates
-    // are deduplicated during the ordered reduction, giving output
-    // byte-identical to the sequential slide.
-    auto progress = obs::ProgressTracker::global().startJob(
-        "attack.halderman", windows);
-    // Span context: chunk tasks submitted below are parented here,
-    // so the trace shows the whole baseline sweep as one subtree.
-    obs::ScopedSpan span("search.halderman");
-    exec::parallelMapReduceChunks<std::vector<BaselineKey>>(
-        0, windows, kWindowGrain,
-        [&](const exec::ChunkRange &c) {
-            exec::checkpointIfCancellable(params.cancel);
-            thread_local exec::ChunkBuffer buf;
-            uint64_t lo = begin + c.begin * params.step;
-            uint64_t hi = std::min<uint64_t>(
-                end, begin + (c.end - 1) * params.step + sched_bytes);
-            image.prefetch(lo, hi - lo);
-            auto bytes = image.chunk(lo, hi - lo, buf);
+    // The chunks tile the window starts, each a whole number of
+    // steps, and the windows overlap (each spans sched_bytes), so
+    // every chunk also reads the schedule-length tail past its end.
+    // Candidates are deduplicated during the ordered reduction,
+    // giving output byte-identical to the sequential slide.
+    exec::scanDump<std::vector<BaselineKey>>(
+        image,
+        {.name = "search.halderman",
+         .begin = begin,
+         .end = last_window + 1,
+         .grain = kWindowGrain * params.step,
+         .overlap = sched_bytes - 1},
+        [&](std::span<const uint8_t> bytes, const exec::ChunkRange &c) {
             std::vector<BaselineKey> found;
-            for (uint64_t w = c.begin; w < c.end; ++w) {
-                uint64_t abs_off = begin + w * params.step;
-                try_window(bytes, abs_off - lo, abs_off, found);
-            }
+            for (uint64_t off = c.begin; off < c.end; off += params.step)
+                try_window(bytes, off - c.begin, off, found);
             return found;
         },
-        [&](std::vector<BaselineKey> &&found,
-            const exec::ChunkRange &c) {
+        [&](std::vector<BaselineKey> &&found, const exec::ChunkRange &) {
             for (auto &key : found)
                 if (seen.insert(key.master).second)
                     out.push_back(std::move(key));
-            progress->advance(c.end - c.begin);
         });
-    progress->finish();
     return out;
 }
 

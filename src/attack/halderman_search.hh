@@ -27,7 +27,6 @@
 
 #include "common/secure.hh"
 #include "crypto/aes.hh"
-#include "exec/cancel.hh"
 #include "exec/dump_io.hh"
 #include "platform/memory_image.hh"
 
@@ -72,20 +71,16 @@ struct BaselineParams
     uint64_t scan_start = 0;
     /** Bytes to scan (0 = to end). */
     uint64_t scan_bytes = 0;
-    /**
-     * Optional cooperative cancellation: checked once per scan chunk;
-     * a raised token makes the call throw exec::CancelledError.
-     */
-    const exec::CancelToken *cancel = nullptr;
 };
 
 /**
  * Slide the Halderman keyfinder across a plaintext memory dump.
  *
- * Window positions are scanned chunked on the global
- * exec::ThreadPool; candidates are deduplicated in ascending offset
- * order during the ordered reduction, so the output is byte-identical
- * to a sequential slide for any worker count (DESIGN.md §9).
+ * Window positions are scanned by an exec::scanDump stage
+ * ("search.halderman") on the global pool; candidates are
+ * deduplicated in ascending offset order during the ordered
+ * reduction, so the output is byte-identical to a sequential slide
+ * for any worker count (DESIGN.md §9).
  *
  * @param image  A *descrambled* (plaintext) dump.
  * @param params Tuning.

@@ -9,10 +9,8 @@
 #include "common/logging.hh"
 #include "attack/litmus.hh"
 #include "simd/simd.hh"
-#include "exec/thread_pool.hh"
-#include "obs/progress.hh"
+#include "exec/scan.hh"
 #include "obs/stats.hh"
-#include "obs/trace.hh"
 
 namespace coldboot::attack
 {
@@ -214,7 +212,6 @@ struct ChunkHits
      *  such a block raises the allocator's mmap threshold, after
      *  which later transient blocks stay resident across runs. */
     std::deque<std::pair<uint64_t, std::array<uint8_t, 64>>> hits;
-    uint64_t blocks_scanned = 0;
     uint64_t constant_dropped = 0;
 };
 
@@ -222,6 +219,15 @@ struct ChunkHits
 constexpr uint64_t kScanGrain = 1ull << 20;
 
 } // anonymous namespace
+
+uint64_t
+minerScanBytes(const exec::DumpSource &dump, const MinerParams &params)
+{
+    uint64_t bytes = dump.size();
+    if (params.scan_limit_bytes != 0)
+        bytes = std::min<uint64_t>(bytes, params.scan_limit_bytes);
+    return bytes & ~63ull;
+}
 
 std::vector<MinedKey>
 mineScramblerKeys(const exec::DumpSource &dump,
@@ -256,10 +262,6 @@ mineScramblerKeys(const exec::DumpSource &dump,
         "attack.miner.seconds", "wall-clock seconds per mining run"));
 
     MinerStats local;
-    uint64_t scan_bytes = dump.size();
-    if (params.scan_limit_bytes != 0)
-        scan_bytes = std::min<uint64_t>(scan_bytes,
-                                        params.scan_limit_bytes);
 
     // Cluster records live in a deque, which never reallocates: a
     // vector of 1,048-byte records doubles into a ~9 MiB block past
@@ -328,29 +330,18 @@ mineScramblerKeys(const exec::DumpSource &dump,
         clusters[home].add(block, off);
     };
 
-    scan_bytes &= ~63ull;
-    // params.threads: 0 = the shared global pool, 1 = serial
-    // in-line, N > 1 = a dedicated pool of N workers.
-    std::unique_ptr<exec::ThreadPool> own_pool;
-    if (params.threads > 1)
-        own_pool = std::make_unique<exec::ThreadPool>(params.threads);
-    bool sequential = params.threads == 1;
-    // Progress advances in the ordered reduction (the caller
-    // thread), so reporting never touches the parallel map path.
-    auto progress = obs::ProgressTracker::global().startJob(
-        "attack.miner", scan_bytes);
-    exec::parallelMapReduceChunks<ChunkHits>(
-        0, scan_bytes, kScanGrain,
-        [&](const exec::ChunkRange &c) {
-            exec::checkpointIfCancellable(params.cancel);
-            thread_local exec::ChunkBuffer buf;
-            dump.prefetch(c.begin, c.end - c.begin);
-            auto bytes = dump.chunk(c.begin, c.end - c.begin, buf);
+    exec::scanDump<ChunkHits>(
+        dump,
+        {.name = "mine.scan",
+         .end = minerScanBytes(dump, params),
+         .grain = kScanGrain,
+         .threads = params.threads,
+         .cancel = params.cancel},
+        [&](std::span<const uint8_t> bytes, const exec::ChunkRange &c) {
             ChunkHits out;
             for (uint64_t off = 0; off + 64 <= bytes.size();
                  off += 64) {
                 auto block = bytes.subspan(off, 64);
-                ++out.blocks_scanned;
                 if (!scramblerKeyLitmus(block,
                                         params.litmus_max_bit_errors))
                     continue;
@@ -367,17 +358,14 @@ mineScramblerKeys(const exec::DumpSource &dump,
             return out;
         },
         [&](ChunkHits &&h, const exec::ChunkRange &c) {
-            local.blocks_scanned += h.blocks_scanned;
+            local.blocks_scanned += (c.end - c.begin) / 64;
             local.constant_dropped += h.constant_dropped;
             local.litmus_hits += h.hits.size();
             for (auto &[off, block] : h.hits) {
                 cluster_block(block, off);
                 secureWipe(block.data(), block.size());
             }
-            progress->advance(c.end - c.begin);
-        },
-        own_pool.get(), sequential);
-    progress->finish();
+        });
 
     // Merge clusters whose majority keys ended up close (decay can
     // split one key across clusters when early copies were noisy).

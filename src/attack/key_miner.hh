@@ -71,19 +71,11 @@ struct MinerParams
     size_t min_occurrences = 2;
     /** Filter trivially constant blocks before clustering. */
     bool drop_constant_blocks = true;
-    /**
-     * Worker threads for the scan phase: 0 (default) runs on the
-     * shared global exec::ThreadPool, 1 scans serially in-line,
-     * N > 1 uses a dedicated pool of N workers. The mined keys are
-     * byte-identical in every mode (DESIGN.md §9) - the fuzzer's
-     * parallel-fingerprint oracle asserts exactly that.
-     */
+    /** The scan's pool, as exec::ScanPlan::threads; the mined keys
+     *  are byte-identical for every value (DESIGN.md §9). */
     unsigned threads = 0;
-    /**
-     * Optional cooperative cancellation: checked once per scan chunk;
-     * a raised token makes the call throw exec::CancelledError.
-     * Null (the default) scans to completion unconditionally.
-     */
+    /** Checked once per scan chunk; a raised token makes the call
+     *  throw exec::CancelledError. */
     const exec::CancelToken *cancel = nullptr;
 };
 
@@ -97,13 +89,18 @@ struct MinerStats
     size_t keys_reported = 0;
 };
 
+/** Dump bytes mineScramblerKeys() scans: the scan limit, line
+ *  aligned. */
+uint64_t minerScanBytes(const exec::DumpSource &dump,
+                        const MinerParams &params);
+
 /**
  * Mine candidate scrambler keys from a dump.
  *
- * The block scan runs chunked on the global exec::ThreadPool;
- * litmus hits are reduced in ascending dump order, so the clustering
- * (and hence the reported keys) are byte-identical to a sequential
- * run regardless of COLDBOOT_THREADS (see DESIGN.md §9).
+ * The block scan is an exec::scanDump stage ("mine.scan"); litmus
+ * hits are reduced in ascending dump order, so the clustering (and
+ * hence the reported keys) are byte-identical to a sequential run
+ * at any pool width (see DESIGN.md §9).
  *
  * @param dump   Scrambled dump (any DumpSource backend).
  * @param params Tuning parameters.

@@ -10,7 +10,7 @@
 #include "common/logging.hh"
 #include "crypto/aes.hh"
 #include "crypto/sha256.hh"
-#include "exec/thread_pool.hh"
+#include "exec/scan.hh"
 #include "obs/progress.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -22,18 +22,8 @@ namespace coldboot::attack
 namespace
 {
 
-/** Dump bytes a mining pass will actually scan (line aligned). */
-uint64_t
-mineScanBytes(const exec::DumpSource &dump, const MinerParams &params)
-{
-    uint64_t bytes = dump.size();
-    if (params.scan_limit_bytes != 0)
-        bytes = std::min<uint64_t>(bytes, params.scan_limit_bytes);
-    return bytes & ~63ull;
-}
-
-/** 64-byte lines XOR-descrambled per pool task (4 MiB of dump). */
-constexpr uint64_t kDescrambleGrainLines = 65536;
+/** Dump bytes XOR-descrambled per pool task. */
+constexpr uint64_t kDescrambleGrain = 4ull << 20;
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -166,7 +156,7 @@ AttackSession::AttackSession(const exec::DumpSource &dump,
 {
     params_.miner.cancel = &cancel_;
     params_.search.cancel = &cancel_;
-    mine_bytes_ = mineScanBytes(dump_, params_.miner);
+    mine_bytes_ = minerScanBytes(dump_, params_.miner);
 }
 
 uint64_t
@@ -311,7 +301,7 @@ MineSession::MineSession(const exec::DumpSource &dump,
 uint64_t
 MineSession::progressTotalUnits() const
 {
-    return mineScanBytes(dump_, params_);
+    return minerScanBytes(dump_, params_);
 }
 
 void
@@ -320,7 +310,7 @@ MineSession::runStage()
     cb_assert(stage_ == SessionStage::Mine,
               "MineSession: runStage in a non-mine state");
     mined_ = mineScramblerKeys(dump_, params_, &stats_);
-    progress_->advance(mineScanBytes(dump_, params_));
+    progress_->advance(minerScanBytes(dump_, params_));
     stage_ = SessionStage::Done;
 }
 
@@ -350,7 +340,7 @@ DescrambleSession::DescrambleSession(const exec::DumpSource &dump,
 uint64_t
 DescrambleSession::progressTotalUnits() const
 {
-    return mineScanBytes(dump_, params_) + dump_.size();
+    return minerScanBytes(dump_, params_) + dump_.size();
 }
 
 void
@@ -374,7 +364,7 @@ DescrambleSession::stageMine()
 {
     obs::ScopedSpan span("mine");
     mined_ = mineScramblerKeys(dump_, params_, &mine_stats_);
-    progress_->advance(mineScanBytes(dump_, params_));
+    progress_->advance(minerScanBytes(dump_, params_));
     if (mined_.empty())
         throw std::runtime_error(
             "descramble: no scrambler keys mined from dump");
@@ -397,20 +387,18 @@ DescrambleSession::stageDescramble()
         throw std::runtime_error("descramble: cannot open '" +
                                  out_path_ + "' for writing");
 
-    uint64_t lines = dump_.size() / 64;
     crypto::Sha256 sha;
     bool write_failed = false;
     // Parallel XOR, strictly ordered write-out + digest: the output
     // file is byte-identical at any pool width (DESIGN.md §9).
-    exec::parallelMapReduceChunks<std::vector<uint8_t>>(
-        0, lines, kDescrambleGrainLines,
-        [&](const exec::ChunkRange &c) {
-            exec::checkpointIfCancellable(params_.cancel);
-            thread_local exec::ChunkBuffer buf;
-            uint64_t lo = c.begin * 64;
-            uint64_t len = (c.end - c.begin) * 64;
-            dump_.prefetch(lo, len);
-            auto bytes = dump_.chunk(lo, len, buf);
+    exec::scanDump<std::vector<uint8_t>>(
+        dump_,
+        {.name = "descramble.scan",
+         .end = dump_.size(),
+         .grain = kDescrambleGrain,
+         .threads = params_.threads,
+         .cancel = params_.cancel},
+        [&](std::span<const uint8_t> bytes, const exec::ChunkRange &) {
             std::vector<uint8_t> out(bytes.begin(), bytes.end());
             // Chunks are cut on 64-byte lines, so the repeat-key
             // phase restarts at key[0] in every chunk.
@@ -423,8 +411,8 @@ DescrambleSession::stageDescramble()
                 std::fwrite(out.data(), 1, out.size(), f) !=
                     out.size())
                 write_failed = true;
-            progress_->advance(out.size());
         });
+    progress_->advance(dump_.size());
     bool close_failed = std::fclose(f) != 0;
     if (write_failed || close_failed)
         throw std::runtime_error("descramble: short write to '" +
@@ -433,7 +421,7 @@ DescrambleSession::stageDescramble()
     auto digest = sha.finish();
     result_.mined_keys = mined_.size();
     result_.key_occurrences = mined_[0].occurrences;
-    result_.lines = lines;
+    result_.lines = dump_.lines();
     result_.sha256_hex = toHex(digest);
     result_.out_path = out_path_;
     stage_ = SessionStage::Done;

@@ -85,11 +85,6 @@ class MmapDumpSource final : public DumpSource
         munmap(const_cast<uint8_t *>(base), size());
     }
 
-    std::span<const uint8_t> contiguous() const override
-    {
-        return {base, size()};
-    }
-
     std::span<const uint8_t> chunk(uint64_t offset, uint64_t len,
                                    ChunkBuffer &) const override
     {
@@ -130,11 +125,6 @@ class BufferedDumpSource final : public DumpSource
     }
 
     ~BufferedDumpSource() override { close(fd); }
-
-    std::span<const uint8_t> contiguous() const override
-    {
-        return {};
-    }
 
     std::span<const uint8_t> chunk(uint64_t offset, uint64_t len,
                                    ChunkBuffer &buf) const override
@@ -248,12 +238,7 @@ openDumpSource(const std::string &path, DumpBackend backend)
                  std::strerror(errno));
     uint64_t size = checkedFileSize(path, fd);
 
-    bool want_mmap = backend != DumpBackend::Buffered;
-    if (backend == DumpBackend::Auto &&
-        std::getenv("COLDBOOT_NO_MMAP") != nullptr)
-        want_mmap = false;
-
-    if (want_mmap) {
+    if (backend != DumpBackend::Buffered) {
         void *base = mmap(nullptr, size, PROT_READ, MAP_PRIVATE,
                           fd, 0);
         if (base != MAP_FAILED) {

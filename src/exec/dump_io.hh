@@ -5,12 +5,12 @@
  * std::vector.
  *
  * Backends:
- *  - MmapDumpSource: the file is mapped read-only; chunk() and
- *    contiguous() are zero-copy views, prefetch() issues
- *    madvise(WILLNEED) hints ahead of the scan front;
- *  - BufferedDumpSource: graceful fallback when mmap is unavailable
- *    (COLDBOOT_NO_MMAP set, special files, or a failing mmap(2)) -
- *    chunk() preads into a caller-owned 64-byte-aligned ChunkBuffer;
+ *  - MmapDumpSource: the file is mapped read-only; chunk() returns
+ *    zero-copy views, prefetch() issues madvise(WILLNEED) hints
+ *    ahead of the scan front;
+ *  - BufferedDumpSource: chosen by DumpBackend::Buffered (the CLI's
+ *    `--no-mmap`), and the fallback when mmap(2) fails - chunk()
+ *    preads into a caller-owned 64-byte-aligned ChunkBuffer;
  *  - MemoryDumpSource: a non-owning view over bytes already resident
  *    (the platform::MemoryImage path used by tests and simulations).
  *
@@ -20,7 +20,7 @@
  *
  * Thread-safety: a DumpSource is immutable after open; chunk() is
  * safe from any number of threads as long as each thread passes its
- * own ChunkBuffer (the scan loops keep one thread_local buffer).
+ * own ChunkBuffer (exec::scanDump keeps one per thread, exec/scan.hh).
  */
 
 #ifndef COLDBOOT_EXEC_DUMP_IO_HH
@@ -37,8 +37,7 @@ namespace coldboot::exec
 /** Backend selection for openDumpSource(). */
 enum class DumpBackend
 {
-    /** Mmap when possible, buffered otherwise (COLDBOOT_NO_MMAP
-     *  forces buffered). */
+    /** Mmap when possible, buffered otherwise. */
     Auto,
     Mmap,
     Buffered,
@@ -83,13 +82,6 @@ class DumpSource
     uint64_t lines() const { return total / 64; }
 
     /**
-     * The whole dump as one zero-copy view, when the backend has it
-     * resident (mmap / memory); empty span on buffered sources -
-     * callers must then use chunk().
-     */
-    virtual std::span<const uint8_t> contiguous() const = 0;
-
-    /**
      * View of [offset, offset + len). Zero-copy on mmap/memory
      * backends; on buffered sources the bytes are pread into @p buf
      * and the view is valid until the next chunk() call using the
@@ -120,11 +112,6 @@ class MemoryDumpSource final : public DumpSource
   public:
     /** @p bytes must outlive the source; size checked (64-multiple). */
     explicit MemoryDumpSource(std::span<const uint8_t> bytes);
-
-    std::span<const uint8_t> contiguous() const override
-    {
-        return view;
-    }
 
     std::span<const uint8_t> chunk(uint64_t offset, uint64_t len,
                                    ChunkBuffer &buf) const override;

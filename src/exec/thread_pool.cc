@@ -562,13 +562,16 @@ chunkAt(uint64_t begin, uint64_t end, uint64_t grain, uint64_t index)
 void
 parallelForChunks(uint64_t begin, uint64_t end, uint64_t grain,
                   const std::function<void(const ChunkRange &)> &fn,
-                  ThreadPool *pool, bool sequential)
+                  unsigned threads)
 {
     const uint64_t n = chunkCount(begin, end, grain);
     if (n == 0)
         return;
-    ThreadPool &p = pool != nullptr ? *pool : ThreadPool::global();
-    if (sequential || n == 1 || p.workerCount() == 1) {
+    std::unique_ptr<ThreadPool> own;
+    if (threads > 1 && n > 1)
+        own = std::make_unique<ThreadPool>(threads);
+    ThreadPool &p = own ? *own : ThreadPool::global();
+    if (threads == 1 || n == 1 || p.workerCount() == 1) {
         for (uint64_t i = 0; i < n; ++i)
             fn(chunkAt(begin, end, grain, i));
         return;

@@ -275,17 +275,16 @@ ChunkRange chunkAt(uint64_t begin, uint64_t end, uint64_t grain,
                    uint64_t index);
 
 /**
- * Apply @p fn to every grain-sized chunk of [begin, end), in
- * parallel on @p pool (nullptr = the global pool). Runs inline on
- * the calling thread when the range has a single chunk, the pool has
- * one worker, or @p sequential is set. @p fn must tolerate
- * concurrent invocation on distinct chunks; exceptions propagate to
- * the caller (first wins).
+ * Apply @p fn to every grain-sized chunk of [begin, end) on the pool
+ * @p threads names: 0 = the global pool, 1 = in-line on the calling
+ * thread, N > 1 = a dedicated pool of N workers for this call. Runs
+ * inline as well when the range has a single chunk or the pool has
+ * one worker. @p fn must tolerate concurrent invocation on distinct
+ * chunks; exceptions propagate to the caller (first wins).
  */
 void parallelForChunks(uint64_t begin, uint64_t end, uint64_t grain,
                        const std::function<void(const ChunkRange &)> &fn,
-                       ThreadPool *pool = nullptr,
-                       bool sequential = false);
+                       unsigned threads = 0);
 
 /**
  * Deterministic ordered map-reduce over grain-sized chunks: @p map
@@ -300,18 +299,18 @@ void parallelForChunks(uint64_t begin, uint64_t end, uint64_t grain,
  * @param map     T map(const ChunkRange &)  - thread-safe.
  * @param reduce  void reduce(T &&, const ChunkRange &) - caller
  *                thread, ascending chunk index.
+ * @param threads As for parallelForChunks().
  */
 template <typename T, typename MapFn, typename ReduceFn>
 void
 parallelMapReduceChunks(uint64_t begin, uint64_t end, uint64_t grain,
                         MapFn &&map, ReduceFn &&reduce,
-                        ThreadPool *pool = nullptr,
-                        bool sequential = false)
+                        unsigned threads = 0)
 {
     const uint64_t n = chunkCount(begin, end, grain);
     if (n == 0)
         return;
-    if (sequential || n == 1) {
+    if (threads == 1 || n == 1) {
         for (uint64_t i = 0; i < n; ++i) {
             ChunkRange c = chunkAt(begin, end, grain, i);
             reduce(map(c), c);
@@ -325,7 +324,7 @@ parallelMapReduceChunks(uint64_t begin, uint64_t end, uint64_t grain,
     parallelForChunks(
         begin, end, grain,
         [&](const ChunkRange &c) { results[c.index].emplace(map(c)); },
-        pool);
+        threads);
     for (uint64_t i = 0; i < n; ++i) {
         ChunkRange c = chunkAt(begin, end, grain, i);
         reduce(std::move(*results[i]), c);

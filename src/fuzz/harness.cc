@@ -1,7 +1,6 @@
 #include "fuzz/harness.hh"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 #include <utility>
 
@@ -122,15 +121,6 @@ runCampaign(const CampaignConfig &config)
         }
     }
 
-    // config.threads: 0 = the shared global pool, 1 = serial
-    // in-line, N > 1 = a dedicated pool of N workers.
-    std::unique_ptr<exec::ThreadPool> own_pool;
-    if (config.threads > 1)
-        own_pool =
-            std::make_unique<exec::ThreadPool>(config.threads);
-    const bool sequential = config.threads == 1;
-    exec::ThreadPool *pool = own_pool.get();
-
     const bool smoke =
         config.profile == CampaignConfig::Profile::Smoke;
     const uint32_t phase1_energy =
@@ -223,7 +213,7 @@ runCampaign(const CampaignConfig &config)
                 }
             }
         },
-        pool, sequential);
+        config.threads);
 
     // Phase 2 - re-mutate the coverage-advancing seeds harder.
     exec::parallelMapReduceChunks<ChunkResults>(
@@ -243,7 +233,7 @@ runCampaign(const CampaignConfig &config)
                 merge_features(rec);
             }
         },
-        pool, sequential);
+        config.threads);
 
     for (size_t oi = 0; oi < selected.size(); ++oi)
         report.oracles[oi].distinct_features = seen[oi].size();

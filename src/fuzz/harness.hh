@@ -54,11 +54,8 @@ struct CampaignConfig
     /** Input-size class for every case (64 KiB << scale stacks). */
     uint32_t scale = 0;
 
-    /**
-     * Worker threads: 0 = the shared global exec::ThreadPool, 1 =
-     * serial in-line, N > 1 = a dedicated pool. The report is
-     * byte-identical in every mode.
-     */
+    /** Pool, as for exec::parallelForChunks(); the report is
+     *  byte-identical for every value. */
     unsigned threads = 0;
 
     /** Reduce each violation to a minimal reproducer (costs extra

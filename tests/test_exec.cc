@@ -18,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,8 +32,10 @@
 #include "crypto/aes.hh"
 #include "exec/cancel.hh"
 #include "exec/dump_io.hh"
+#include "exec/scan.hh"
 #include "exec/thread_pool.hh"
 #include "memctrl/scrambler.hh"
+#include "obs/progress.hh"
 #include "obs/trace.hh"
 #include "platform/memory_image.hh"
 #include "simd/simd.hh"
@@ -290,14 +293,13 @@ TEST(ParallelFor, VisitsEveryChunkExactlyOnce)
     std::vector<std::atomic<int>> visits(n);
     std::atomic<uint64_t> covered{0};
 
-    ThreadPool pool(4);
     parallelForChunks(
         0, kEnd, kGrain,
         [&](const ChunkRange &c) {
             visits[c.index].fetch_add(1);
             covered.fetch_add(c.end - c.begin);
         },
-        &pool);
+        4);
 
     EXPECT_EQ(covered.load(), kEnd);
     for (uint64_t i = 0; i < n; ++i)
@@ -306,14 +308,13 @@ TEST(ParallelFor, VisitsEveryChunkExactlyOnce)
 
 TEST(ParallelFor, ExceptionPropagates)
 {
-    ThreadPool pool(2);
     EXPECT_THROW(parallelForChunks(
                      0, 10000, 100,
                      [](const ChunkRange &c) {
                          if (c.index == 7)
                              throw std::runtime_error("chunk 7");
                      },
-                     &pool),
+                     2),
                  std::runtime_error);
 }
 
@@ -321,7 +322,7 @@ TEST(ParallelFor, OrderedReductionIsDeterministic)
 {
     // A non-commutative fold (string concatenation) must come out
     // identical to the sequential run at any pool width.
-    auto run = [](ThreadPool *pool, bool sequential) {
+    auto run = [](unsigned threads) {
         std::string out;
         parallelMapReduceChunks<std::string>(
             0, 5000, 97,
@@ -332,14 +333,16 @@ TEST(ParallelFor, OrderedReductionIsDeterministic)
             [&](std::string &&part, const ChunkRange &) {
                 out += part;
             },
-            pool, sequential);
+            threads);
         return out;
     };
 
-    const std::string expected = run(nullptr, true);
-    for (unsigned w : {1u, 2u, 7u}) {
+    const std::string expected = run(1);
+    for (unsigned w : {2u, 7u}) {
+        EXPECT_EQ(run(w), expected) << "width " << w;
         ThreadPool pool(w);
-        EXPECT_EQ(run(&pool, false), expected) << "width " << w;
+        ThreadPool::ScopedGlobalOverride ov(pool);
+        EXPECT_EQ(run(0), expected) << "global width " << w;
     }
 }
 
@@ -386,7 +389,6 @@ TEST(DumpSource, MemoryBackendViewsMatchInput)
     EXPECT_EQ(src.size(), 4096u);
     EXPECT_EQ(src.lines(), 64u);
     EXPECT_STREQ(src.backendName(), "memory");
-    EXPECT_EQ(src.contiguous().data(), bytes.data());
 
     ChunkBuffer buf;
     auto view = src.chunk(128, 256, buf);
@@ -405,10 +407,6 @@ TEST(DumpSource, MmapAndBufferedReturnIdenticalBytes)
     EXPECT_STREQ(buffered->backendName(), "buffered");
     EXPECT_EQ(mapped->size(), bytes.size());
     EXPECT_EQ(buffered->size(), bytes.size());
-
-    // mmap exposes the whole file; buffered cannot.
-    EXPECT_EQ(mapped->contiguous().size(), bytes.size());
-    EXPECT_TRUE(buffered->contiguous().empty());
 
     ChunkBuffer mbuf, bbuf;
     for (uint64_t off : {uint64_t(0), uint64_t(64), uint64_t(4096),
@@ -439,24 +437,13 @@ TEST(DumpSource, PrefetchClampsAtDumpTail)
     }
 }
 
-TEST(DumpSource, NoMmapEnvForcesBufferedInAutoMode)
+TEST(DumpSource, AutoModePrefersMmap)
 {
     auto bytes = patternBytes(4096);
     DumpSourceFile file(bytes);
 
     auto plain = openDumpSource(file.path, DumpBackend::Auto);
     EXPECT_STREQ(plain->backendName(), "mmap");
-
-    setenv("COLDBOOT_NO_MMAP", "1", 1);
-    auto forced = openDumpSource(file.path, DumpBackend::Auto);
-    unsetenv("COLDBOOT_NO_MMAP");
-    EXPECT_STREQ(forced->backendName(), "buffered");
-
-    // Explicit Mmap ignores the env knob.
-    setenv("COLDBOOT_NO_MMAP", "1", 1);
-    auto explicit_mmap = openDumpSource(file.path, DumpBackend::Mmap);
-    unsetenv("COLDBOOT_NO_MMAP");
-    EXPECT_STREQ(explicit_mmap->backendName(), "mmap");
 }
 
 TEST(DumpSource, RejectsBadSizes)
@@ -496,6 +483,167 @@ TEST(DumpSource, ChunkBufferAlignsAndGrows)
     uint8_t *q = buf.ensure(1 << 20);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(q) % 64, 0u);
     EXPECT_GE(buf.capacity(), size_t(1) << 20);
+}
+
+//
+// The dump-scan stage (exec/scan.hh)
+//
+
+/** One chunk as its map saw it. */
+struct SeenChunk
+{
+    uint64_t index;
+    bool bytes_match;
+    uint64_t checksum;
+};
+
+/** scanDump over @p src, recording what every map call saw. */
+std::vector<SeenChunk>
+scanRecord(const DumpSource &src, const std::vector<uint8_t> &expect,
+           const ScanPlan &plan)
+{
+    std::vector<SeenChunk> seen;
+    scanDump<SeenChunk>(
+        src, plan,
+        [&](std::span<const uint8_t> bytes, const ChunkRange &c) {
+            uint64_t hi = std::min<uint64_t>(expect.size(),
+                                             c.end + plan.overlap);
+            bool match =
+                bytes.size() == hi - c.begin &&
+                std::equal(bytes.begin(), bytes.end(),
+                           expect.begin() +
+                               static_cast<ptrdiff_t>(c.begin));
+            uint64_t sum = 0;
+            for (uint8_t b : bytes)
+                sum = sum * 131 + b;
+            return SeenChunk{c.index, match, sum};
+        },
+        [&](SeenChunk &&chunk, const ChunkRange &) {
+            seen.push_back(chunk);
+        });
+    return seen;
+}
+
+TEST(ScanDump, ChunksSeeTheirRangePlusOverlap)
+{
+    auto bytes = patternBytes(64 * 1024);
+    DumpSourceFile file(bytes);
+    auto buffered = openDumpSource(file.path, DumpBackend::Buffered);
+    MemoryDumpSource memory({bytes.data(), bytes.size()});
+
+    // A range that stops short of the dump (the whole overlap is
+    // read) and one that runs to its end (the overlap is clamped).
+    const ScanPlan plans[] = {
+        {.name = "test.scan.short", .begin = 192, .end = 40000,
+         .grain = 4096, .overlap = 239},
+        {.name = "test.scan.tail", .begin = 0, .end = bytes.size(),
+         .grain = 4096, .overlap = 239},
+    };
+    for (const DumpSource *src :
+         {static_cast<const DumpSource *>(&memory),
+          static_cast<const DumpSource *>(buffered.get())}) {
+        for (const ScanPlan &base : plans) {
+            for (unsigned threads : {1u, 4u}) {
+                ScanPlan plan = base;
+                plan.threads = threads;
+                auto seen = scanRecord(*src, bytes, plan);
+                ASSERT_EQ(seen.size(),
+                          chunkCount(plan.begin, plan.end, plan.grain));
+                for (size_t i = 0; i < seen.size(); ++i) {
+                    EXPECT_EQ(seen[i].index, i);
+                    EXPECT_TRUE(seen[i].bytes_match)
+                        << src->backendName() << " " << plan.name
+                        << " threads " << threads << " chunk " << i;
+                }
+            }
+        }
+    }
+}
+
+TEST(ScanDump, ReduceSeesTheSameSequenceAtEveryWidth)
+{
+    auto bytes = patternBytes(256 * 1024);
+    DumpSourceFile file(bytes);
+    auto buffered = openDumpSource(file.path, DumpBackend::Buffered);
+    MemoryDumpSource memory({bytes.data(), bytes.size()});
+
+    auto fingerprint = [&](const DumpSource &src, unsigned threads) {
+        ScanPlan plan{.name = "test.scan.order", .begin = 64,
+                      .end = bytes.size() - 64, .grain = 8192,
+                      .overlap = 100, .threads = threads};
+        std::string fp;
+        for (const SeenChunk &c : scanRecord(src, bytes, plan))
+            fp += std::to_string(c.index) + ":" +
+                  std::to_string(c.checksum) + ";";
+        return fp;
+    };
+    const std::string expected = fingerprint(memory, 1);
+    EXPECT_EQ(fingerprint(memory, 4), expected);
+    EXPECT_EQ(fingerprint(*buffered, 1), expected);
+    EXPECT_EQ(fingerprint(*buffered, 4), expected);
+}
+
+/** The newest retained progress job named @p name. */
+std::optional<obs::ProgressSnapshot>
+lastJobNamed(const std::string &name)
+{
+    std::optional<obs::ProgressSnapshot> found;
+    for (auto &job : obs::ProgressTracker::global().snapshot())
+        if (job.name == name)
+            found = job;
+    return found;
+}
+
+TEST(ScanDump, ProgressJobFinishesAtRangeLength)
+{
+    auto bytes = patternBytes(64 * 1024);
+    MemoryDumpSource memory({bytes.data(), bytes.size()});
+    for (unsigned threads : {1u, 4u}) {
+        ScanPlan plan{.name = "test.scan.progress", .begin = 640,
+                      .end = 50000, .grain = 4096, .threads = threads};
+        uint64_t advanced = 0;
+        scanDump<int>(
+            memory, plan,
+            [](std::span<const uint8_t>, const ChunkRange &) {
+                return 0;
+            },
+            [&](int &&, const ChunkRange &) {
+                // Progress counts each chunk after its reduce.
+                auto job = lastJobNamed(plan.name);
+                ASSERT_TRUE(job.has_value());
+                EXPECT_EQ(job->done_units, advanced);
+                EXPECT_FALSE(job->finished);
+                advanced = job->done_units + 4096;
+            });
+        auto job = lastJobNamed(plan.name);
+        ASSERT_TRUE(job.has_value());
+        EXPECT_TRUE(job->finished);
+        EXPECT_EQ(job->total_units, plan.end - plan.begin);
+        EXPECT_EQ(job->done_units, plan.end - plan.begin);
+    }
+}
+
+TEST(ScanDump, CancelledScanThrowsAndFinishesItsJob)
+{
+    auto bytes = patternBytes(64 * 1024);
+    MemoryDumpSource memory({bytes.data(), bytes.size()});
+    CancelToken token;
+    token.requestCancel();
+    ScanPlan plan{.name = "test.scan.cancel", .end = bytes.size(),
+                  .grain = 4096, .threads = 4, .cancel = &token};
+    std::atomic<bool> mapped{false};
+    EXPECT_THROW(scanDump<int>(
+                     memory, plan,
+                     [&](std::span<const uint8_t>, const ChunkRange &) {
+                         mapped = true;
+                         return 0;
+                     },
+                     [](int &&, const ChunkRange &) {}),
+                 CancelledError);
+    EXPECT_FALSE(mapped); // the checkpoint runs before the read
+    auto job = lastJobNamed(plan.name);
+    ASSERT_TRUE(job.has_value());
+    EXPECT_TRUE(job->finished);
 }
 
 //
@@ -671,7 +819,6 @@ TEST(CancelToken, MidScanCancelUnwindsParallelFanout)
     // unwind the whole fan-out as CancelledError, exactly like a
     // workload exception.
     for (unsigned w : {1u, 4u}) {
-        ThreadPool pool(w);
         CancelToken token;
         EXPECT_THROW(
             parallelMapReduceChunks<int>(
@@ -682,7 +829,7 @@ TEST(CancelToken, MidScanCancelUnwindsParallelFanout)
                     checkpointIfCancellable(&token);
                     return 1;
                 },
-                [](int &&, const ChunkRange &) {}, &pool),
+                [](int &&, const ChunkRange &) {}, w),
             CancelledError)
             << "width " << w;
     }

@@ -10,8 +10,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <vector>
+
+#include <unistd.h>
 
 #include "attack/attack_pipeline.hh"
 #include "attack/ddr3_attack.hh"
@@ -20,6 +23,7 @@
 #include "common/units.hh"
 #include "crypto/aes.hh"
 #include "dram/dram_module.hh"
+#include "exec/dump_io.hh"
 #include "platform/coldboot.hh"
 #include "platform/machine.hh"
 #include "platform/workload.hh"
@@ -212,6 +216,53 @@ TEST(Halderman, MissesWhenWindowIsCorrupted)
 
     auto found = haldermanSearch(image);
     EXPECT_TRUE(found.empty());
+}
+
+TEST(Halderman, FindsTablesStraddlingChunkEnds)
+{
+    // The scan tiles window starts into chunks of 4,096 windows (4 KiB
+    // at step 1, 16 KiB at step 4) and reads each chunk's 239-byte
+    // schedule tail past its end. Every table below starts in the last
+    // 239 bytes of a chunk at both steps, on a 4-byte boundary.
+    Xoshiro256StarStar rng(44);
+    MemoryImage image(KiB(64));
+    rng.fillBytes(image.bytesMutable());
+    const uint64_t offsets[] = {KiB(16) - 4, KiB(32) - 236,
+                                KiB(48) - 120};
+    std::vector<std::vector<uint8_t>> keys;
+    for (uint64_t off : offsets) {
+        auto &key = keys.emplace_back(32);
+        rng.fillBytes(key);
+        auto sched = crypto::aesExpandKey(key);
+        memcpy(image.bytesMutable().data() + off, sched.data(),
+               sched.size());
+    }
+
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "test_halderman_straddle.XXXXXX")
+                           .string();
+    int fd = mkstemp(path.data());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(write(fd, image.bytes().data(), image.size()),
+              static_cast<ssize_t>(image.size()));
+    close(fd);
+    auto buffered =
+        exec::openDumpSource(path, exec::DumpBackend::Buffered);
+    std::remove(path.c_str()); // the open descriptor keeps it readable
+
+    for (unsigned step : {1u, 4u}) {
+        BaselineParams params;
+        params.step = step;
+        for (const auto &found : {haldermanSearch(image, params),
+                                  haldermanSearch(*buffered, params)}) {
+            ASSERT_EQ(found.size(), keys.size()) << "step " << step;
+            for (size_t i = 0; i < keys.size(); ++i) {
+                EXPECT_EQ(found[i].master, keys[i]);
+                EXPECT_EQ(found[i].offset, offsets[i]);
+                EXPECT_EQ(found[i].bit_errors, 0u);
+            }
+        }
+    }
 }
 
 TEST(Halderman, FailsDirectlyOnScrambledDdr4)

@@ -1075,6 +1075,52 @@ TEST_F(LintTreeTest, TransitiveDeterminismAcrossFiles)
     EXPECT_FALSE(f->flow.empty());
 }
 
+TEST_F(LintTreeTest, TransitiveDeterminismFollowsScanDumpBodies)
+{
+    // The dump-scan stage's map is a parallel region too: a clock
+    // read two calls below it is reported at the scanDump call.
+    write("src/.coldboot-lint", "disable no-wallclock-in-sim\n");
+    write("src/scan.cc",
+          "void mine(const DumpSource &dump)\n"
+          "{\n"
+          "    exec::scanDump<Hits>(\n"
+          "        dump, {.name = \"mine.scan\", .end = dump.size()},\n"
+          "        [&](std::span<const uint8_t> bytes, const "
+          "ChunkRange &c) {\n"
+          "            return collectHits(bytes);\n"
+          "        },\n"
+          "        [&](Hits &&h, const ChunkRange &c) { keep(h); });\n"
+          "}\n");
+    write("src/hits.cc",
+          "long collectHits(std::span<const uint8_t> bytes)\n"
+          "{\n"
+          "    return stampOf(bytes);\n"
+          "}\n"
+          "long stampOf(std::span<const uint8_t> bytes)\n"
+          "{\n"
+          "    return time(nullptr);\n"
+          "}\n");
+
+    LintOptions options;
+    options.root = root.string();
+    options.paths = {"src"};
+    auto result = lintTree(options);
+    ASSERT_FALSE(result.internal_error) << result.error_message;
+    ASSERT_EQ(countRule(result.findings, "transitive-determinism"),
+              1u)
+        << emitText(result);
+    for (const auto &f : result.findings) {
+        if (f.rule != "transitive-determinism")
+            continue;
+        EXPECT_EQ(f.file, "src/scan.cc");
+        EXPECT_EQ(f.line, 3);
+        EXPECT_NE(f.message.find("stampOf"), std::string::npos);
+        // Region start, scanDump body -> collectHits, collectHits ->
+        // stampOf, then the clock read itself.
+        EXPECT_EQ(f.flow.size(), 4u);
+    }
+}
+
 TEST_F(LintTreeTest, DirectNondetInLambdaIsTokenRuleTerritory)
 {
     write("src/.coldboot-lint", "disable no-wallclock-in-sim\n");

@@ -445,7 +445,8 @@ reportDeterminism(const CallGraph &graph, std::vector<Finding> &out)
         const GraphNode &gn = graph.nodes()[n];
         for (const auto &c : gn.fn->calls) {
             if (c.callee != "parallelForChunks" &&
-                c.callee != "parallelMapReduceChunks")
+                c.callee != "parallelMapReduceChunks" &&
+                c.callee != "scanDump")
                 continue;
             for (int lam_local : c.lambda_args) {
                 size_t root = graph.lambdaNode(

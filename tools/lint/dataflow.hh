@@ -15,7 +15,8 @@
  *   Finding::flow for SARIF code flows.
  *
  *   transitive-determinism: the bodies handed to parallelForChunks /
- *   parallelMapReduceChunks must stay deterministic (DESIGN.md 9).
+ *   parallelMapReduceChunks / scanDump must stay deterministic
+ *   (DESIGN.md 9).
  *   The token rule no-wallclock-in-sim catches direct uses; this
  *   pass walks the call graph from each parallel-region lambda and
  *   flags wall-clock / OS-entropy uses in transitively-called

@@ -87,8 +87,8 @@ const std::vector<RuleInfo> catalog = {
      "cb_inform(\"recovered %zu bytes\", mined.key_bytes.size());"},
     {"transitive-determinism",
      "functions reachable from parallelForChunks/"
-     "parallelMapReduceChunks bodies must not transitively reach "
-     "wall-clock or OS entropy",
+     "parallelMapReduceChunks/scanDump bodies must not transitively "
+     "reach wall-clock or OS entropy",
      "The DESIGN.md §9 contract - byte-identical results at any "
      "pool width - dies if any function called from a parallel "
      "region reads host state, even three calls deep in another TU. "

@@ -38,8 +38,8 @@
  *                           inter-procedural path as a code flow.
  *   transitive-determinism  a function reachable from a
  *                           parallelForChunks / parallelMapReduce-
- *                           Chunks body transitively calls wall-clock
- *                           or OS-entropy APIs.
+ *                           Chunks / scanDump body transitively calls
+ *                           wall-clock or OS-entropy APIs.
  *   wipe-coverage           a struct/class owns key-named byte
  *                           storage but has no destructor that
  *                           secureWipe()s it.
