@@ -11,15 +11,17 @@
  * the paper reports 100 MB in 2 h on one AES-NI core) and the
  * temperature sensitivity (a warm transfer destroys too much data).
  *
- * The smoke profile shrinks the victim to 1 MiB and windows the scan
- * around the key table; the full profile scans a 4 MiB dump end to
- * end.
+ * Both profiles scan a 4 MiB dump end to end: a smaller or windowed
+ * capture mines too few keys to recover the table. Both gate the
+ * shape: the cooled transfer yields exactly the mounted XTS pair and
+ * decrypts the volume; the warm one mines no key and pairs nothing.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "attack/attack_pipeline.hh"
 #include "common/units.hh"
@@ -82,16 +84,7 @@ runScenario(obs::bench::BenchContext &ctx, const Scenario &sc)
                 sc.cooled ? "cooled (-25C)" : "warm (20C)",
                 decay_pct);
 
-    PipelineParams pipeline_params;
-    if (ctx.smoke()) {
-        // Window the AES search around the key table; mining still
-        // sees the whole (1 MiB) dump.
-        pipeline_params.search.scan_start =
-            keytable_addr > KiB(64) ? keytable_addr - KiB(64) : 0;
-        pipeline_params.search.scan_bytes = KiB(192);
-    }
-    PipelineReport report =
-        runColdBootAttack(cold.dump, pipeline_params);
+    PipelineReport report = runColdBootAttack(cold.dump, {});
     std::printf("    mined keys: %zu, AES tables: %zu, XTS pairs: "
                 "%zu, scan %.2f MiB/s (litmus hits %llu)\n",
                 report.mined_keys.size(), report.recovered.size(),
@@ -119,6 +112,19 @@ runScenario(obs::bench::BenchContext &ctx, const Scenario &sc)
                 key_match ? "YES" : "no", decrypted ? "YES" : "no");
 
     const char *label = sc.cooled ? "cooled" : "warm";
+    const std::string pairs = std::to_string(report.xts_pairs.size());
+    if (sc.cooled) {
+        ctx.check(report.xts_pairs.size() == 1 && key_match,
+                  "cooled: " + pairs + " XTS pairs (mounted pair " +
+                      (key_match ? "among them" : "missing") +
+                      "), want exactly the mounted pair");
+        ctx.check(decrypted, "cooled: sector 3 did not decrypt");
+    } else {
+        ctx.check(report.mined_keys.empty() && report.xts_pairs.empty(),
+                  "warm: mined " +
+                      std::to_string(report.mined_keys.size()) +
+                      " keys and " + pairs + " XTS pairs, want 0 and 0");
+    }
     ctx.report(std::string("attack_e2e.") + label + ".decay_pct",
                decay_pct, "bits flipped during the transfer");
     ctx.report(std::string("attack_e2e.") + label + ".xts_pairs",
@@ -137,11 +143,10 @@ runScenario(obs::bench::BenchContext &ctx, const Scenario &sc)
 
 COLDBOOT_BENCH(attack_e2e)
 {
-    const uint64_t capacity = ctx.pick(MiB(4), MiB(1));
+    const uint64_t capacity = MiB(4);
     std::printf("E4: end-to-end DDR4 cold boot attack "
-                "(%llu MiB victim, %s scan)\n\n",
-                static_cast<unsigned long long>(capacity >> 20),
-                ctx.smoke() ? "windowed" : "full-dump");
+                "(%llu MiB victim, full-dump scan)\n\n",
+                static_cast<unsigned long long>(capacity >> 20));
 
     runScenario(ctx, {true, capacity, 9000});
     runScenario(ctx, {false, capacity, 9100});

@@ -91,6 +91,19 @@ runConfig(obs::bench::BenchContext &ctx, const Config &config,
                    ".master_keys_recovered",
                recovered ? 1.0 : 0.0,
                "1 when the attack recovered the XTS master keys");
+
+    const std::string label = config.label;
+    if (!config.factory) {
+        ctx.check(recovered, label + ": the planted XTS pair was not "
+                                     "recovered");
+    } else {
+        ctx.check(report.mined_keys.empty() && report.recovered.empty(),
+                  label + ": mined " +
+                      std::to_string(report.mined_keys.size()) +
+                      " keys and found " +
+                      std::to_string(report.recovered.size()) +
+                      " tables, want 0 and 0");
+    }
 }
 
 } // anonymous namespace

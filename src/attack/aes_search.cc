@@ -10,6 +10,7 @@
 
 #include "common/bits.hh"
 #include "common/logging.hh"
+#include "attack/key_map.hh"
 #include "attack/litmus.hh"
 #include "simd/simd.hh"
 #include "exec/scan.hh"
@@ -66,13 +67,38 @@ descramble(std::span<const uint8_t> raw,
 }
 
 /**
- * Pick the candidate key making a full in-table block most
+ * The keys tried on the block at a dump offset: the address → key
+ * map's prediction, or the whole pool where it has none.
+ */
+class KeyRoutes
+{
+  public:
+    KeyRoutes(const KeyMap &map, size_t nkeys) : map(map), pool(nkeys)
+    {
+        std::iota(pool.begin(), pool.end(), 0u);
+    }
+
+    std::span<const uint32_t>
+    at(uint64_t offset) const
+    {
+        auto keys = map.keysFor(offset / 64);
+        return keys.empty() ? std::span<const uint32_t>(pool) : keys;
+    }
+
+  private:
+    const KeyMap &map;
+    std::vector<uint32_t> pool;
+};
+
+/**
+ * Pick the key among @p tried making a full in-table block most
  * self-consistent. Returns the error count of the winner and writes
  * its descrambled words; SIZE_MAX key index if no candidate checks.
  */
 size_t
 bestKeyForFullBlock(std::span<const uint8_t> raw,
-                    const std::vector<MinedKey> &keys, unsigned p,
+                    const std::vector<MinedKey> &keys,
+                    std::span<const uint32_t> tried, unsigned p,
                     unsigned nk, unsigned total_words,
                     uint32_t out_words[16], unsigned &best_errors)
 {
@@ -80,7 +106,7 @@ bestKeyForFullBlock(std::span<const uint8_t> raw,
     best_errors = ~0u;
     uint8_t plain[64];
     uint32_t words[16];
-    for (size_t k = 0; k < keys.size(); ++k) {
+    for (uint32_t k : tried) {
         descramble(raw, keys[k].key, plain);
         for (unsigned i = 0; i < 16; ++i)
             words[i] = aesWordFromBytes(&plain[4 * i]);
@@ -147,12 +173,16 @@ class LinearScreen
 
     /**
      * Indices of the keys that may pass the litmus on the block whose
-     * raw words are @p raw, ascending. @p scratch is the caller's
-     * reusable storage; the span points into it.
+     * raw words are @p raw, ascending: of the keys in @p among, or of
+     * every key when it is empty. @p scratch is the caller's reusable
+     * storage; the span points into it.
      */
     std::span<const uint32_t>
-    survivors(const uint32_t raw[16], std::vector<uint32_t> &scratch) const
+    survivors(const uint32_t raw[16], std::span<const uint32_t> among,
+              std::vector<uint32_t> &scratch) const
     {
+        if (!among.empty())
+            return survivorsAmong(raw, among, scratch);
         // Three segments: the union so far, one class's passes, and
         // the merge target (swapped with the union after each class).
         scratch.resize(3 * nkeys);
@@ -162,8 +192,7 @@ class LinearScreen
         size_t n = 0;
         for (const Class &cls : classes) {
             uint32_t block_syn[16];
-            for (size_t j = 0; j < cls.positions.size(); ++j)
-                block_syn[j] = syndrome(raw, cls.positions[j]);
+            blockSyndromes(cls, raw, block_syn);
             size_t got = simd::syndromeScreen(
                 block_syn, cls.key_rows.data(), nkeys, nkeys,
                 static_cast<unsigned>(cls.positions.size()),
@@ -177,6 +206,32 @@ class LinearScreen
     }
 
   private:
+    /** The keys of @p among passing any class, screened one key at a
+     *  time by the same kernel (a column of the class's rows). */
+    std::span<const uint32_t>
+    survivorsAmong(const uint32_t raw[16],
+                   std::span<const uint32_t> among,
+                   std::vector<uint32_t> &scratch) const
+    {
+        scratch.resize(among.size());
+        size_t n = 0;
+        for (uint32_t k : among) {
+            for (const Class &cls : classes) {
+                uint32_t block_syn[16];
+                uint32_t pass;
+                blockSyndromes(cls, raw, block_syn);
+                if (simd::syndromeScreen(
+                        block_syn, cls.key_rows.data() + k, nkeys, 1,
+                        static_cast<unsigned>(cls.positions.size()),
+                        max_per_check, max_total, &pass) != 0) {
+                    scratch[n++] = k;
+                    break;
+                }
+            }
+        }
+        return {scratch.data(), n};
+    }
+
     /** One placement-phase class: its linear block words and every
      *  key's syndrome on them (row j = positions[j], one word per
      *  key). */
@@ -196,6 +251,14 @@ class LinearScreen
     syndrome(const uint32_t *w, unsigned i) const
     {
         return w[i] ^ w[i - 1] ^ w[i - nk];
+    }
+
+    void
+    blockSyndromes(const Class &cls, const uint32_t raw[16],
+                   uint32_t out[16]) const
+    {
+        for (size_t j = 0; j < cls.positions.size(); ++j)
+            out[j] = syndrome(raw, cls.positions[j]);
     }
 
     unsigned nk;
@@ -329,11 +392,12 @@ namespace
 /**
  * Attempt a full reconstruction of the schedule whose word 0 lies at
  * dump byte offset @p table_off, returning the recovered key if it
- * verifies.
+ * verifies. Each block is descrambled only with its routed keys.
  */
 std::optional<RecoveredAesKey>
 reconstructAt(const exec::DumpSource &dump,
-              const std::vector<MinedKey> &keys, uint64_t table_off,
+              const std::vector<MinedKey> &keys,
+              const KeyRoutes &routes, uint64_t table_off,
               const SearchParams &params, SearchStats &stats,
               exec::ChunkBuffer &buf)
 {
@@ -358,10 +422,11 @@ reconstructAt(const exec::DumpSource &dump,
         unsigned p = static_cast<unsigned>((b - table_off) / 4);
         uint32_t words[16];
         unsigned errors = 0;
+        auto tried = routes.at(b);
         size_t k = bestKeyForFullBlock(dump.chunk(b, 64, buf), keys,
-                                       p, nk, total_words, words,
+                                       tried, p, nk, total_words, words,
                                        errors);
-        stats.descramble_attempts += keys.size();
+        stats.descramble_attempts += tried.size();
         if (k == SIZE_MAX || errors > 4 * params.litmus_max_bit_errors) {
             assembly_ok = false;
             break;
@@ -429,8 +494,9 @@ reconstructAt(const exec::DumpSource &dump,
                                table_off + sched_bytes);
         unsigned best_dist = ~0u;
         auto raw = dump.chunk(b, 64, buf);
-        for (const auto &mk : keys) {
-            descramble(raw, mk.key, plain);
+        auto tried = routes.at(b);
+        for (uint32_t k : tried) {
+            descramble(raw, keys[k].key, plain);
             // Subrange compare of the overlap (at most 64 bytes, so
             // the old "> 8 * 64 bits" early break could never fire).
             unsigned dist = static_cast<unsigned>(
@@ -442,7 +508,7 @@ reconstructAt(const exec::DumpSource &dump,
             if (best_dist == 0)
                 break;
         }
-        stats.descramble_attempts += keys.size();
+        stats.descramble_attempts += tried.size();
         total_errors += best_dist;
         if (best_dist <= params.verify_block_max_bit_errors)
             ++verified;
@@ -462,12 +528,24 @@ reconstructAt(const exec::DumpSource &dump,
     return out;
 }
 
-} // anonymous namespace
+/** Fit one search call's address → key map, under its own span. */
+KeyMap
+fitKeyMap(const std::vector<MinedKey> &keys)
+{
+    obs::ScopedSpan span("search.map");
+    return KeyMap(keys);
+}
 
+/**
+ * scanAesKeyTables() through @p map: a block the map routes is
+ * screened against its predicted keys only. Fills @p stats' scan
+ * fields and counts the routed blocks in @p routed_blocks.
+ */
 std::vector<AesTableHit>
-scanAesKeyTables(const exec::DumpSource &dump,
-                 const std::vector<MinedKey> &candidate_keys,
-                 const SearchParams &params, SearchStats *stats)
+scanTables(const exec::DumpSource &dump,
+           const std::vector<MinedKey> &candidate_keys,
+           const KeyMap &map, const SearchParams &params,
+           SearchStats &stats, uint64_t &routed_blocks)
 {
     uint64_t begin = params.scan_start & ~63ULL;
     uint64_t end = params.scan_bytes == 0
@@ -498,8 +576,8 @@ scanAesKeyTables(const exec::DumpSource &dump,
         std::vector<AesTableHit> hits;
         uint64_t attempts = 0;
         uint64_t prefilter_passes = 0;
+        uint64_t routed_blocks = 0;
     };
-    SearchStats local;
     std::vector<AesTableHit> all_hits;
 
     exec::scanDump<ChunkScan>(
@@ -521,8 +599,11 @@ scanAesKeyTables(const exec::DumpSource &dump,
                 uint32_t raw_words[16];
                 for (unsigned i = 0; i < 16; ++i)
                     raw_words[i] = aesWordFromBytes(&raw[4 * i]);
-                out.attempts += candidate_keys.size();
-                auto passed = screen.survivors(raw_words, scratch);
+                auto routed = map.keysFor((c.begin + off) / 64);
+                out.routed_blocks += routed.empty() ? 0 : 1;
+                out.attempts += routed.empty() ? candidate_keys.size()
+                                               : routed.size();
+                auto passed = screen.survivors(raw_words, routed, scratch);
                 out.prefilter_passes += passed.size();
                 for (uint32_t ki : passed) {
                     // Entropy guard (plausibleScheduleEntropy):
@@ -552,16 +633,32 @@ scanAesKeyTables(const exec::DumpSource &dump,
             return out;
         },
         [&](ChunkScan &&s, const exec::ChunkRange &c) {
-            local.blocks_scanned += (c.end - c.begin) / 64;
-            local.descramble_attempts += s.attempts;
-            local.prefilter_passes += s.prefilter_passes;
-            local.litmus_hits += s.hits.size();
+            stats.blocks_scanned += (c.end - c.begin) / 64;
+            stats.descramble_attempts += s.attempts;
+            stats.prefilter_passes += s.prefilter_passes;
+            stats.litmus_hits += s.hits.size();
+            routed_blocks += s.routed_blocks;
             all_hits.insert(all_hits.end(), s.hits.begin(),
                             s.hits.end());
         });
+    return all_hits;
+}
+
+} // anonymous namespace
+
+std::vector<AesTableHit>
+scanAesKeyTables(const exec::DumpSource &dump,
+                 const std::vector<MinedKey> &candidate_keys,
+                 const SearchParams &params, SearchStats *stats)
+{
+    SearchStats local;
+    uint64_t routed_blocks = 0;
+    auto hits = scanTables(dump, candidate_keys,
+                           fitKeyMap(candidate_keys), params, local,
+                           routed_blocks);
     if (stats)
         *stats = local;
-    return all_hits;
+    return hits;
 }
 
 std::vector<RecoveredAesKey>
@@ -576,9 +673,12 @@ searchAesKeyTables(const exec::DumpSource &dump,
     std::set<uint64_t> tried_offsets;
     std::set<std::vector<uint8_t>> seen_masters;
 
-    // Phase 1 - scan.
-    auto all_hits = scanAesKeyTables(dump, candidate_keys, params,
-                                     &local);
+    // Phase 1 - scan, through the address → key map fitted once for
+    // the scan and the reconstructions.
+    const KeyMap map = fitKeyMap(candidate_keys);
+    uint64_t routed_blocks = 0;
+    auto all_hits = scanTables(dump, candidate_keys, map, params, local,
+                               routed_blocks);
 
     // Phase 2 - reconstruct (serial; candidate offsets are few).
     // Round constants differ by only a bit or two, so the litmus
@@ -590,6 +690,7 @@ searchAesKeyTables(const exec::DumpSource &dump,
     unsigned modulus = std::lcm(4u, nk);
     unsigned max_p = (aesLitmusPlacements(params.key_size) - 1) * 4;
     exec::ChunkBuffer reconstruct_buf;
+    const KeyRoutes routes(map, candidate_keys.size());
     for (const auto &hit : all_hits) {
         exec::checkpointIfCancellable(params.cancel);
         for (unsigned s = hit.start_word % modulus; s <= max_p;
@@ -608,7 +709,7 @@ searchAesKeyTables(const exec::DumpSource &dump,
                      .second)
                 continue;
             auto rec = reconstructAt(
-                dump, candidate_keys,
+                dump, candidate_keys, routes,
                 static_cast<uint64_t>(table_off), params, local,
                 reconstruct_buf);
             if (rec && seen_masters.insert(rec->master).second)
@@ -660,6 +761,11 @@ searchAesKeyTables(const exec::DumpSource &dump,
     registry.counter("attack.search.prefilter_passes",
                      "attempts passing the linear-syndrome prefilter")
         .add(local.prefilter_passes);
+    registry.counter("attack.search.routed_blocks",
+                     "table-scan blocks tried against their predicted "
+                     "keys only (0 when the address → key map "
+                     "declined)")
+        .add(routed_blocks);
     registry.counter("attack.search.litmus_hits",
                      "blocks passing the AES key-schedule litmus")
         .add(local.litmus_hits);

@@ -2,8 +2,10 @@
  * @file
  * AES key-table search over a scrambled dump (attack steps 2-4).
  *
- * For every 64-byte block of the dump and every mined candidate
- * scrambler key, the pair is screened by an exact linear-syndrome
+ * For every 64-byte block of the dump and each candidate scrambler
+ * key it may be scrambled with - the keys the address → key map
+ * (key_map.hh) predicts for its line, or every mined key where it
+ * predicts none - the pair is screened by an exact linear-syndrome
  * prefilter, and the survivors are descrambled and fed to the AES key
  * litmus test. A hit pins the block to an absolute position inside an
  * expanded key schedule; the recurrence is then run forward and
@@ -96,8 +98,10 @@ struct SearchParams
 struct SearchStats
 {
     uint64_t blocks_scanned = 0;
-    /** (block, candidate key) pairs considered: every non-constant
-     *  block times every key. */
+    /** (block, candidate key) pairs tried: by the table scan, each
+     *  non-constant block with its routed keys (every key where the
+     *  address → key map predicts none), plus each block a
+     *  reconstruction assembles or verifies with its routed keys. */
     uint64_t descramble_attempts = 0;
     /** Attempts passing the linear-syndrome prefilter, the only ones
      *  that reach the entropy guard and the litmus. */
@@ -143,9 +147,12 @@ struct AesTableHit
 /**
  * The table scan, phase 1 of searchAesKeyTables(): every (block,
  * candidate key) pair of the scan range that passes the entropy guard
- * and the AES key litmus. An exact linear-syndrome prefilter
- * (DESIGN.md §15) rejects almost every pair before either runs, so
- * the hits equal those of testing every pair.
+ * and the AES key litmus. Where the keys' address → key map is
+ * confident, a block is tried only with the keys it predicts for the
+ * block's line (every key where it predicts none). An exact
+ * linear-syndrome prefilter (DESIGN.md §15) rejects almost every pair
+ * before either runs, so the hits equal those of testing every such
+ * pair.
  *
  * @param stats  Optional; receives the scan's blocks_scanned,
  *               descramble_attempts, prefilter_passes and litmus_hits.
@@ -157,7 +164,9 @@ std::vector<AesTableHit> scanAesKeyTables(
     const SearchParams &params = {}, SearchStats *stats = nullptr);
 
 /**
- * Search a scrambled dump for expanded AES key tables.
+ * Search a scrambled dump for expanded AES key tables. The address
+ * → key map of @p candidate_keys is fitted once, and the scan and
+ * every reconstruction try each block with its routed keys only.
  *
  * @param dump           The scrambled dump (any DumpSource backend).
  * @param candidate_keys Mined scrambler keys (attack step 1 output).

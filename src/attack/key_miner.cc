@@ -215,6 +215,15 @@ struct ChunkHits
     uint64_t constant_dropped = 0;
 };
 
+/** One litmus hit's cluster and line, recorded in scan order so the
+ *  mined keys' lines come out of one flat buffer in ascending order.
+ *  A deque, for the same allocator reason as ChunkHits::hits. */
+struct HitLine
+{
+    uint32_t cluster;
+    uint32_t line;
+};
+
 /** Scan granularity: 16 Ki blocks per task. */
 constexpr uint64_t kScanGrain = 1ull << 20;
 
@@ -286,6 +295,11 @@ mineScramblerKeys(const exec::DumpSource &dump,
     const unsigned distance = params.cluster_distance;
     uint64_t bucket_joins = 0;
     uint64_t merges = 0;
+    // Line indices are 32-bit: a dump of 256 GiB or more mines keys
+    // without lines, and its address map declines.
+    std::deque<HitLine> hit_lines;
+    const uint64_t scan_end = minerScanBytes(dump, params);
+    const bool record_lines = scan_end / 64 <= uint64_t{UINT32_MAX} + 1;
 
     // Clustering is order-sensitive (a block joins the first cluster
     // within distance), so the parallel scan only collects litmus
@@ -328,12 +342,15 @@ mineScramblerKeys(const exec::DumpSource &dump,
             }
         }
         clusters[home].add(block, off);
+        if (record_lines)
+            hit_lines.push_back({static_cast<uint32_t>(home),
+                                 static_cast<uint32_t>(off / 64)});
     };
 
     exec::scanDump<ChunkHits>(
         dump,
         {.name = "mine.scan",
-         .end = minerScanBytes(dump, params),
+         .end = scan_end,
          .grain = kScanGrain,
          .threads = params.threads,
          .cancel = params.cancel},
@@ -378,6 +395,9 @@ mineScramblerKeys(const exec::DumpSource &dump,
 
     std::vector<MinedKey> out;
     std::vector<bool> merged(clusters.size(), false);
+    // The reported key each cluster ended in (SIZE_MAX: dropped).
+    std::vector<size_t> owner(clusters.size(), SIZE_MAX);
+    std::vector<size_t> group;
     for (size_t i = 0; i < clusters.size(); ++i) {
         if (merged[i])
             continue;
@@ -385,6 +405,7 @@ mineScramblerKeys(const exec::DumpSource &dump,
         size_t occurrences = clusters[i].members;
         size_t biggest = clusters[i].members;
         uint64_t first = clusters[i].first_offset;
+        group.assign(1, i);
         // The next unmerged cluster from @p from on within distance
         // of key_i. A merge may replace key_i, so every search
         // screens afresh with the current key.
@@ -400,6 +421,7 @@ mineScramblerKeys(const exec::DumpSource &dump,
             occurrences += clusters[j].members;
             first = std::min(first, clusters[j].first_offset);
             merged[j] = true;
+            group.push_back(j);
             ++merges;
             // Trust the majority vote of the largest constituent.
             if (clusters[j].members > biggest) {
@@ -407,10 +429,20 @@ mineScramblerKeys(const exec::DumpSource &dump,
                 key_i = majorities[j];
             }
         }
-        if (occurrences >= params.min_occurrences)
+        if (occurrences >= params.min_occurrences) {
+            for (size_t c : group)
+                owner[c] = out.size();
             out.push_back(MinedKey{key_i, occurrences, first});
+            if (record_lines)
+                out.back().lines.reserve(occurrences);
+        }
         secureWipe(key_i.data(), key_i.size());
     }
+    // Split the scan-order hits once: each key's lines come out
+    // ascending, merged clusters' included.
+    for (const HitLine &h : hit_lines)
+        if (owner[h.cluster] != SIZE_MAX)
+            out[owner[h.cluster]].lines.push_back(h.line);
 
     std::sort(out.begin(), out.end(),
               [](const MinedKey &a, const MinedKey &b) {

@@ -50,6 +50,14 @@ struct MinedKey
     size_t occurrences = 0;
     /** Dump offset of the first contributing block. */
     uint64_t first_offset = 0;
+    /**
+     * Line index (dump offset / 64) of every contributing block,
+     * ascending. Mined keys carry them (from dumps under 256 GiB),
+     * with occurrences == lines.size() and first_offset ==
+     * 64 * lines.front(); a hand-built key may leave them empty.
+     * KeyMap learns the address → key map from them.
+     */
+    std::vector<uint32_t> lines;
 };
 
 /** Key-miner tuning. */

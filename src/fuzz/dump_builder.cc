@@ -48,6 +48,34 @@ claimLines(std::vector<bool> &used, CaseRng &rng, uint64_t run)
     return start;
 }
 
+/** DDR4 keys repeat every 4,096 lines (address bits [17:6]). */
+constexpr uint64_t kKeyPeriodLines = 4096;
+
+/**
+ * Claim up to @p copies free lines congruent to @p index modulo the
+ * key period, drawn at random among the free ones; ascending.
+ */
+std::vector<uint64_t>
+claimCongruent(std::vector<bool> &used, CaseRng &rng, uint64_t index,
+               unsigned copies)
+{
+    std::vector<uint64_t> free_lines;
+    for (uint64_t line = index; line < used.size();
+         line += kKeyPeriodLines)
+        if (!used[line])
+            free_lines.push_back(line);
+    std::vector<uint64_t> out;
+    while (out.size() < copies && !free_lines.empty()) {
+        auto pick = free_lines.begin() +
+                    static_cast<ptrdiff_t>(rng.below(free_lines.size()));
+        used[*pick] = true;
+        out.push_back(*pick);
+        free_lines.erase(pick);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 } // anonymous namespace
 
 FuzzDump
@@ -67,13 +95,43 @@ buildFuzzDump(CaseRng &rng, const FuzzDumpSpec &spec)
     // mechanism that makes real dumps leak their scrambler keys. At
     // dump sizes below the 256 KiB key-pool wrap these leak *single*
     // copies, i.e. realistic sub-threshold noise for the miner.
+    // Address-keyed, every line is plaintext until the end, where all
+    // of them are scrambled with their own address's key.
     rng.fill(out.bytes);
     for (uint64_t line = 0; line < lines; ++line) {
-        if (rng.chance(spec.zero_line_fraction))
+        if (!rng.chance(spec.zero_line_fraction))
+            continue;
+        if (spec.address_keyed)
+            std::fill_n(&out.bytes[line * 64], 64, 0);
+        else
             scrambler.lineKey(line * 64, &out.bytes[line * 64]);
     }
 
     std::vector<bool> used(lines, false);
+    // Plant @p copies of the pool key @p index: its raw bytes at
+    // random free lines, or, address-keyed, zero lines (which the
+    // final pass scrambles into it) at the free lines congruent to
+    // @p index, as many as there are.
+    auto plant = [&](unsigned index, unsigned copies) {
+        PlantedKey &key = out.keys.emplace_back();
+        key.pool_index = index;
+        scrambler.poolKey(index, key.key.data());
+        std::vector<uint64_t> at;
+        if (spec.address_keyed)
+            at = claimCongruent(used, rng, index, copies);
+        else
+            for (unsigned c = 0; c < copies; ++c)
+                at.push_back(claimLines(used, rng, 1));
+        for (uint64_t line : at) {
+            if (spec.address_keyed)
+                std::fill_n(&out.bytes[line * 64], 64, 0);
+            else
+                std::copy(key.key.begin(), key.key.end(),
+                          &out.bytes[line * 64]);
+            key.offsets.push_back(line * 64);
+            out.planted_regions.push_back({line * 64, line * 64 + 64});
+        }
+    };
 
     // The schedule first: it needs a contiguous run of lines.
     if (spec.plant_schedule) {
@@ -86,52 +144,49 @@ buildFuzzDump(CaseRng &rng, const FuzzDumpSpec &spec)
         uint64_t start = claimLines(used, rng, run);
         sched.offset = start * 64;
 
-        unsigned key_index =
-            static_cast<unsigned>(rng.below(4096));
+        auto key_index = static_cast<unsigned>(rng.below(4096));
+        if (spec.address_keyed)
+            key_index = static_cast<unsigned>(start % kKeyPeriodLines);
         scrambler.poolKey(key_index, sched.scramble_key.data());
 
         // Schedule plaintext, tail-padded with random plaintext,
-        // XOR-ed line by line with the one scrambler key.
+        // XOR-ed line by line with the one scrambler key (or left
+        // for the final pass).
         std::vector<uint8_t> plain(run * 64);
         rng.fill(plain);
         std::copy(schedule.begin(), schedule.end(), plain.begin());
         for (uint64_t i = 0; i < plain.size(); ++i)
             out.bytes[sched.offset + i] =
-                plain[i] ^ sched.scramble_key[i % 64];
+                spec.address_keyed
+                    ? plain[i]
+                    : plain[i] ^ sched.scramble_key[i % 64];
         out.planted_regions.push_back(
             {sched.offset, sched.offset + run * 64});
 
-        // Plant the scrambling key itself so the mining -> search
-        // hand-off can work end to end.
-        PlantedKey key;
-        key.pool_index = key_index;
-        key.key = sched.scramble_key;
-        for (unsigned c = 0; c < std::max(2u, spec.copies_per_key);
-             ++c) {
-            uint64_t at = claimLines(used, rng, 1) * 64;
-            std::copy(key.key.begin(), key.key.end(),
-                      &out.bytes[at]);
-            key.offsets.push_back(at);
-            out.planted_regions.push_back({at, at + 64});
-        }
-        out.keys.push_back(std::move(key));
+        // Plant the scrambling keys themselves so the mining ->
+        // search hand-off can work end to end.
+        const unsigned copies = std::max(2u, spec.copies_per_key);
+        if (spec.address_keyed)
+            for (uint64_t l = start; l < start + run; ++l)
+                plant(static_cast<unsigned>(l % kKeyPeriodLines), copies);
+        else
+            plant(key_index, copies);
         out.schedule = std::move(sched);
     }
 
     // Planted scrambler keys: raw pool-key bytes, exactly what a
     // zero-filled 64-byte block stores in scrambled DRAM.
-    for (unsigned k = 0; k < spec.planted_keys; ++k) {
-        PlantedKey key;
-        key.pool_index = static_cast<unsigned>(rng.below(4096));
-        scrambler.poolKey(key.pool_index, key.key.data());
-        for (unsigned c = 0; c < spec.copies_per_key; ++c) {
-            uint64_t at = claimLines(used, rng, 1) * 64;
-            std::copy(key.key.begin(), key.key.end(),
-                      &out.bytes[at]);
-            key.offsets.push_back(at);
-            out.planted_regions.push_back({at, at + 64});
+    for (unsigned k = 0; k < spec.planted_keys; ++k)
+        plant(static_cast<unsigned>(rng.below(4096)),
+              spec.copies_per_key);
+
+    if (spec.address_keyed) {
+        for (uint64_t line = 0; line < lines; ++line) {
+            uint8_t key[64];
+            scrambler.lineKey(line * 64, key);
+            for (unsigned b = 0; b < 64; ++b)
+                out.bytes[line * 64 + b] ^= key[b];
         }
-        out.keys.push_back(std::move(key));
     }
 
     // Decay last, over everything - planted artifacts included.

@@ -44,7 +44,9 @@ struct PlantedSchedule
     crypto::AesKeySize key_size = crypto::AesKeySize::Aes256;
     /** Dump byte offset of schedule word 0 (line aligned). */
     uint64_t offset = 0;
-    /** The scrambler key the schedule's lines were XOR-ed with. */
+    /** The scrambler key the schedule's lines were XOR-ed with (in
+     *  an address-keyed dump, its first line's; each line has its
+     *  own). */
     std::array<uint8_t, 64> scramble_key{};
 };
 
@@ -66,6 +68,14 @@ struct FuzzDumpSpec
     crypto::AesKeySize schedule_size = crypto::AesKeySize::Aes256;
     /** Visible bit-flip fraction of the decay pass (0 = no decay). */
     double decay_fraction = 0.0;
+    /**
+     * XOR every line, the schedule included, with its own address's
+     * DDR4 key, as a real capture is: planted keys are zero lines at
+     * lines congruent to their pool index modulo 4,096, and every key
+     * the schedule's lines use is planted too. Keys repeat only in
+     * dumps of 512 KiB or more.
+     */
+    bool address_keyed = false;
 };
 
 /** The synthesized dump plus its ground truth. */
@@ -87,9 +97,10 @@ struct FuzzDump
  * Build a scrambled dump per @p spec, drawing every placement from
  * @p rng. Planted key copies are raw key bytes (what a zero-filled
  * line stores in DRAM); the schedule, when requested, is XOR-ed with
- * one known pool key and that key is also planted so the mining →
- * search hand-off can succeed end to end. Decay runs last, over the
- * whole image (planted artifacts decay too - that is the point).
+ * one known pool key (or, address-keyed, each line with its own) and
+ * that key is also planted so the mining → search hand-off can
+ * succeed end to end. Decay runs last, over the whole image (planted
+ * artifacts decay too - that is the point).
  */
 FuzzDump buildFuzzDump(CaseRng &rng, const FuzzDumpSpec &spec);
 

@@ -42,6 +42,9 @@
  *                             completeness at zero decay
  *   search-prefilter-exact    the prefiltered table scan's hits equal
  *                             those of testing every (block, key) pair
+ *   search-routed-exact       the scan routed through the address →
+ *                             key map finds the every-key hits on the
+ *                             keys the map predicts
  *   dump-backend-equality     mmap vs buffered vs memory DumpSource
  *                             byte equality on mutated dump files
  *   parallel-fingerprint      mine/search/pipeline results are

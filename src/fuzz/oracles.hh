@@ -23,7 +23,7 @@ void registerScramblerOracles(std::vector<const Oracle *> &out);
 void registerLitmusOracles(std::vector<const Oracle *> &out);
 
 /** miner-planted-keys, miner-cluster-exact, search-planted-schedule,
- *  search-prefilter-exact, parallel-fingerprint. */
+ *  search-prefilter-exact, search-routed-exact, parallel-fingerprint. */
 void registerAttackOracles(std::vector<const Oracle *> &out);
 
 /** dump-backend-equality. */

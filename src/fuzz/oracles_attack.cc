@@ -20,6 +20,7 @@
 #include <string>
 
 #include "attack/aes_search.hh"
+#include "attack/key_map.hh"
 #include "attack/key_miner.hh"
 #include "attack/litmus.hh"
 #include "common/bits.hh"
@@ -174,7 +175,8 @@ plainDistance(std::span<const uint8_t> a, std::span<const uint8_t> b)
 /**
  * The miner's clustering written as the plain loops it used before
  * the prefix screen. Returns the reported keys, sorted as the miner
- * sorts them, and counts clusters and merges.
+ * sorts them, with every member's line, and counts clusters and
+ * merges.
  */
 std::vector<MinedKey>
 referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
@@ -186,6 +188,7 @@ referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
     std::vector<std::array<size_t, 512>> ones;
     std::vector<size_t> members;
     std::vector<uint64_t> first_offset;
+    std::vector<std::vector<uint32_t>> lines;
     for (uint64_t off = 0; off + 64 <= bytes.size(); off += 64) {
         std::span<const uint8_t> block(&bytes[off], 64);
         if (!attack::scramblerKeyLitmus(block,
@@ -217,10 +220,12 @@ referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
             ones.emplace_back();
             members.push_back(0);
             first_offset.push_back(off);
+            lines.emplace_back();
         }
         for (unsigned bit = 0; bit < 512; ++bit)
             ones[home][bit] += (block[bit / 8] >> (bit % 8)) & 1;
         ++members[home];
+        lines[home].push_back(static_cast<uint32_t>(off / 64));
     }
 
     // Per-bit majority; a tie takes the first copy's bit.
@@ -246,6 +251,7 @@ referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
         Block key = majority[i];
         size_t occurrences = members[i], biggest = members[i];
         uint64_t first = first_offset[i];
+        std::vector<uint32_t> key_lines = lines[i];
         for (size_t j = i + 1; j < reps.size(); ++j) {
             if (merged[j] || plainDistance(key, majority[j]) > dist)
                 continue;
@@ -253,13 +259,18 @@ referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
             ++merges;
             occurrences += members[j];
             first = std::min(first, first_offset[j]);
+            key_lines.insert(key_lines.end(), lines[j].begin(),
+                             lines[j].end());
             if (members[j] > biggest) {
                 biggest = members[j];
                 key = majority[j];
             }
         }
-        if (occurrences >= mp.min_occurrences)
+        if (occurrences >= mp.min_occurrences) {
             out.emplace_back(key, occurrences, first);
+            std::sort(key_lines.begin(), key_lines.end());
+            out.back().lines = std::move(key_lines);
+        }
     }
     std::sort(out.begin(), out.end(),
               [](const MinedKey &a, const MinedKey &b) {
@@ -286,7 +297,7 @@ flipPair(std::array<uint8_t, 64> &block, unsigned p)
 /**
  * miner-cluster-exact: the miner's screened clustering equals the
  * plain loops it replaced (referenceMine above): the same keys,
- * occurrence counts and first offsets. The dumps hold more clusters
+ * occurrence counts, first offsets and lines. The dumps hold more clusters
  * than one 256-key screen tile, copies 78-82 bits from their
  * representative, and keys split across three clusters whose
  * majorities the merge pass joins again.
@@ -300,7 +311,8 @@ class MinerClusterExactOracle final : public Oracle
     description() const override
     {
         return "the miner's screened clustering and merge pass report "
-               "the keys, counts and offsets of plain all-pairs loops";
+               "the keys, counts, offsets and lines of plain all-pairs "
+               "loops";
     }
 
     unsigned smokeStride() const override { return 4; }
@@ -483,7 +495,8 @@ class MinerClusterExactOracle final : public Oracle
         while (i < mined.size() && i < want.size() &&
                mined[i].key == want[i].key &&
                mined[i].occurrences == want[i].occurrences &&
-               mined[i].first_offset == want[i].first_offset)
+               mined[i].first_offset == want[i].first_offset &&
+               mined[i].lines == want[i].lines)
             ++i;
         if (i != mined.size() || i != want.size() ||
             stats.clusters != clusters) {
@@ -745,6 +758,126 @@ class SearchPrefilterExactOracle final : public Oracle
 };
 
 /**
+ * search-routed-exact: routing the AES search through the address →
+ * key map (KeyMap) drops only the pairs the map rules out. On an
+ * address-keyed dump, with the keys the miner found, the routed table
+ * scan must return exactly the hits of the every-key scan (the same
+ * keys with their lines cleared, so the map declines) on the pairs
+ * whose key the map predicts for the block's line, or on any key
+ * where it predicts none, and count exactly the attempts that
+ * implies. At zero decay both searches recover the planted master.
+ */
+class SearchRoutedExactOracle final : public Oracle
+{
+  public:
+    const char *name() const override { return "search-routed-exact"; }
+
+    const char *
+    description() const override
+    {
+        return "the AES search routed through the address -> key map "
+               "finds the every-key hits on the keys the map predicts";
+    }
+
+    unsigned smokeStride() const override { return 8; }
+
+    OracleResult
+    run(const FuzzCaseParams &params) const override
+    {
+        OracleResult res;
+        CaseRng rng(params.seed);
+
+        // 1 MiB or more, so every key repeats in four key periods.
+        // Without stray zero lines, few planted keys leave the map
+        // too little evidence, and it declines.
+        FuzzDumpSpec spec;
+        spec.bytes = uint64_t{1024 * 1024} << params.scale;
+        spec.address_keyed = true;
+        spec.zero_line_fraction = rng.pick({0.0, 0.01, 0.05});
+        spec.planted_keys = static_cast<unsigned>(rng.below(17));
+        spec.copies_per_key = 2 + static_cast<unsigned>(rng.below(3));
+        spec.plant_schedule = true;
+        spec.schedule_size = rng.pick(
+            {crypto::AesKeySize::Aes128, crypto::AesKeySize::Aes192,
+             crypto::AesKeySize::Aes256});
+        spec.decay_fraction = rng.pick({0.0, 0.0, 0.01, 0.02});
+        FuzzDump dump = buildFuzzDump(rng, spec);
+        mutateBytes(dump.bytes, rng, params.energy * 4,
+                    dump.planted_regions);
+        res.feature(crypto::aesNk(spec.schedule_size));
+
+        MinerParams mp;
+        mp.threads = 1; // cases already run in parallel
+        exec::MemoryDumpSource source(dump.bytes);
+        const auto mined = attack::mineScramblerKeys(source, mp);
+        auto every_key = mined;
+        for (auto &k : every_key)
+            k.lines.clear();
+        const attack::KeyMap map(mined);
+        res.feature(map.confident() ? 10 : 11);
+
+        SearchParams sp;
+        sp.key_size = spec.schedule_size;
+        sp.threads = 1;
+        attack::SearchStats routed_stats, every_stats;
+        auto routed =
+            attack::scanAesKeyTables(source, mined, sp, &routed_stats);
+        auto every = attack::scanAesKeyTables(source, every_key, sp,
+                                              &every_stats);
+
+        std::vector<attack::AesTableHit> want;
+        for (const auto &hit : every) {
+            auto keys = map.keysFor(hit.offset / 64);
+            if (keys.empty() ||
+                std::binary_search(keys.begin(), keys.end(),
+                                   hit.key_index))
+                want.push_back(hit);
+        }
+        uint64_t attempts = 0, every_attempts = 0;
+        for (uint64_t off = 0; off + 64 <= dump.bytes.size();
+             off += 64) {
+            if (attack::isConstantBlock({&dump.bytes[off], 64}))
+                continue;
+            auto keys = map.keysFor(off / 64);
+            attempts += keys.empty() ? mined.size() : keys.size();
+            every_attempts += mined.size();
+        }
+        if (routed != want ||
+            routed_stats.descramble_attempts != attempts ||
+            every_stats.descramble_attempts != every_attempts) {
+            res.fail("routed scan has " + std::to_string(routed.size()) +
+                     " hits in " +
+                     std::to_string(routed_stats.descramble_attempts) +
+                     " attempts, the every-key scan on predicted keys " +
+                     std::to_string(want.size()) + " in " +
+                     std::to_string(attempts) + " (map " +
+                     (map.confident() ? "confident" : "declined") + ")");
+            return res;
+        }
+        if (want.size() < every.size())
+            res.feature(12); // routing dropped an unpredicted hit
+
+        auto recovers = [&](const std::vector<MinedKey> &keys) {
+            bool found = false;
+            for (const auto &k :
+                 attack::searchAesKeyTables(source, keys, sp))
+                found = found || (k.master == dump.schedule->master &&
+                                  k.table_offset == dump.schedule->offset);
+            return found;
+        };
+        if (spec.decay_fraction == 0.0) {
+            if (!recovers(mined) || !recovers(every_key)) {
+                res.fail("planted schedule not recovered at zero decay "
+                         "by the routed or the every-key search");
+                return res;
+            }
+            res.feature(13);
+        }
+        return res;
+    }
+};
+
+/**
  * parallel-fingerprint: the miner and the search produce
  * byte-identical output at any worker count - serial in-line vs a
  * dedicated pool of k workers - on the same adversarial dump. This
@@ -839,6 +972,7 @@ const MinerPlantedKeysOracle miner_oracle;
 const MinerClusterExactOracle cluster_oracle;
 const SearchPlantedScheduleOracle search_oracle;
 const SearchPrefilterExactOracle prefilter_oracle;
+const SearchRoutedExactOracle routed_oracle;
 const ParallelFingerprintOracle fingerprint_oracle;
 
 } // anonymous namespace
@@ -850,6 +984,7 @@ registerAttackOracles(std::vector<const Oracle *> &out)
     out.push_back(&cluster_oracle);
     out.push_back(&search_oracle);
     out.push_back(&prefilter_oracle);
+    out.push_back(&routed_oracle);
     out.push_back(&fingerprint_oracle);
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Attack tests: key mining, schedule repair, key-table search, the
- * DDR3 baseline attack, and the full end-to-end DDR4 cold boot attack
- * against a mounted VeraCrypt-style volume.
+ * address → key map that routes it, the DDR3 baseline attack, and the
+ * full end-to-end DDR4 cold boot attack against a mounted
+ * VeraCrypt-style volume.
  */
 
 #include <gtest/gtest.h>
@@ -11,24 +12,30 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "attack/aes_search.hh"
 #include "attack/attack_pipeline.hh"
 #include "attack/ddr3_attack.hh"
+#include "attack/key_map.hh"
 #include "attack/key_miner.hh"
 #include "attack/litmus.hh"
 #include "common/bits.hh"
+#include "common/hex.hh"
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "crypto/xts.hh"
 #include "dram/dram_module.hh"
+#include "fuzz/dump_builder.hh"
 #include "memctrl/scrambler.hh"
 #include "obs/stats.hh"
 #include "platform/coldboot.hh"
 #include "platform/machine.hh"
 #include "platform/workload.hh"
+#include "simd/simd.hh"
 #include "volume/veracrypt_volume.hh"
 
 namespace coldboot::attack
@@ -431,6 +438,243 @@ TEST(AesSearch, ScanWindowHonored)
     auto found = searchAesKeyTables(s.dump, s.keys, params, &stats);
     EXPECT_TRUE(found.empty());
     EXPECT_EQ(stats.blocks_scanned, KiB(64) / 64);
+}
+
+//
+// Address → key map
+//
+
+/** A cooled 4 MiB Skylake capture of a mounted volume (bench E4's
+ *  scenario), with the keys mined from it. */
+// coldboot-lint: allow(wipe-coverage) -- test fixture, the planted master is ground truth
+struct SkylakeCapture
+{
+    MemoryImage dump{size_t{64}};
+    std::vector<uint8_t> master; // 64 bytes (XTS pair)
+    uint64_t keytable_addr = 0;
+    std::vector<MinedKey> mined;
+};
+
+/** Built once per process: the suite's tests only read it. */
+const SkylakeCapture &
+skylakeCapture()
+{
+    static const SkylakeCapture capture = [] {
+        SkylakeCapture c;
+        Machine victim(cpuModelByName("i5-6400"), BiosConfig{}, 1,
+                       9000);
+        victim.installDimm(0, std::make_shared<DramModule>(
+                                  dram::Generation::DDR4, MiB(4),
+                                  dram::DecayParams{}, 9001));
+        victim.boot();
+        platform::fillWorkload(victim, {}, 9002);
+        auto vf = volume::VolumeFile::create("hunter2", 16, 9003);
+        c.keytable_addr = MiB(3) + 16;
+        auto mounted = volume::MountedVolume::mount(
+            victim, vf, "hunter2", c.keytable_addr);
+        if (mounted)
+            c.master.assign(mounted->masterKeys().begin(),
+                            mounted->masterKeys().end());
+        BiosConfig attacker_bios;
+        attacker_bios.boot_pollution_bytes = KiB(64);
+        Machine attacker(cpuModelByName("i5-6600K"), attacker_bios, 1,
+                         9004);
+        c.dump = platform::coldBootTransfer(victim, attacker, 0).dump;
+        c.mined = mineScramblerKeys(c.dump);
+        return c;
+    }();
+    return capture;
+}
+
+/** The search's results and stats as one comparable string. */
+std::string
+searchFingerprint(const std::vector<RecoveredAesKey> &found,
+                  const SearchStats &stats)
+{
+    std::string fp;
+    for (const auto &k : found)
+        fp += toHex(k.master) + "@" + std::to_string(k.table_offset) +
+              "/" + std::to_string(k.verified_blocks) + "/" +
+              std::to_string(k.total_bit_errors) + ";";
+    for (uint64_t v : {stats.blocks_scanned, stats.descramble_attempts,
+                       stats.prefilter_passes, stats.litmus_hits,
+                       stats.reconstructions_tried,
+                       stats.reconstructions_verified})
+        fp += std::to_string(v) + ",";
+    return fp;
+}
+
+uint64_t
+routedBlocks()
+{
+    return obs::StatRegistry::global()
+        .counter("attack.search.routed_blocks")
+        .value();
+}
+
+/**
+ * @p keys' map declines, so searching them routes no block and finds
+ * and counts exactly what the same keys find with their lines
+ * cleared.
+ */
+void
+expectSearchIgnoresLines(const MemoryImage &dump,
+                         std::vector<MinedKey> keys,
+                         const SearchParams &params)
+{
+    EXPECT_FALSE(KeyMap(keys).confident());
+    const uint64_t before = routedBlocks();
+    SearchStats with_lines, without_lines;
+    auto with = searchAesKeyTables(dump, keys, params, &with_lines);
+    EXPECT_EQ(routedBlocks(), before);
+    for (auto &k : keys)
+        k.lines.clear();
+    auto without =
+        searchAesKeyTables(dump, keys, params, &without_lines);
+    EXPECT_EQ(searchFingerprint(with, with_lines),
+              searchFingerprint(without, without_lines));
+}
+
+TEST(KeyMap, FitsTheSkylakeAddressMap)
+{
+    const auto &c = skylakeCapture();
+    KeyMap map(c.mined);
+    ASSERT_TRUE(map.confident());
+    // 4 MiB holds 2^16 lines and the key is line bits 0-11, so the
+    // lines sharing a key differ in line bits 12-15 only.
+    EXPECT_EQ(map.kernelDim(), 4u);
+    for (unsigned b = 0; b < 16; ++b)
+        EXPECT_EQ(map.inKernel(uint64_t{1} << b), b >= 12) << "bit " << b;
+    // One key per coset: every line of every key routes to it alone.
+    for (uint32_t k = 0; k < c.mined.size(); ++k)
+        for (uint32_t line : c.mined[k].lines) {
+            auto keys = map.keysFor(line);
+            ASSERT_EQ(keys.size(), 1u) << "line " << line;
+            ASSERT_EQ(keys[0], k) << "line " << line;
+        }
+    // Lines wider than the fitted 16 bits route nowhere.
+    EXPECT_TRUE(map.keysFor(uint64_t{1} << 16).empty());
+}
+
+TEST(KeyMap, MinedKeysCarryTheirLines)
+{
+    const auto &c = skylakeCapture();
+    ASSERT_GT(c.mined.size(), 3000u);
+    std::vector<bool> owned(c.dump.size() / 64, false);
+    for (const auto &k : c.mined) {
+        ASSERT_FALSE(k.lines.empty());
+        EXPECT_EQ(k.occurrences, k.lines.size());
+        EXPECT_EQ(k.first_offset, 64 * uint64_t{k.lines.front()});
+        EXPECT_EQ(std::adjacent_find(k.lines.begin(), k.lines.end(),
+                                     std::greater_equal<>()),
+                  k.lines.end())
+            << "lines not strictly ascending";
+        for (uint32_t line : k.lines) {
+            ASSERT_LT(line, owned.size());
+            EXPECT_FALSE(owned[line]) << "line " << line << " twice";
+            owned[line] = true;
+        }
+    }
+}
+
+TEST(KeyMap, RoutedSearchRecoversThePairInFarFewerAttempts)
+{
+    const auto &c = skylakeCapture();
+    ASSERT_EQ(c.master.size(), 64u);
+    const uint64_t before = routedBlocks();
+    SearchStats stats;
+    auto pairs = pairXtsKeys(searchAesKeyTables(c.dump, c.mined, {},
+                                                &stats));
+    ASSERT_EQ(pairs.size(), 1u);
+    EXPECT_EQ(memcmp(pairs[0].data_key.data(), c.master.data(), 32), 0);
+    EXPECT_EQ(memcmp(pairs[0].tweak_key.data(), c.master.data() + 32,
+                     32),
+              0);
+    // Almost every block tries its one predicted key, not ~4,000.
+    EXPECT_LT(stats.descramble_attempts,
+              stats.blocks_scanned * c.mined.size() / 20);
+    EXPECT_GT(routedBlocks() - before, stats.blocks_scanned / 2);
+}
+
+TEST(KeyMap, DeclinesOnRandomPlacements)
+{
+    // The fuzz builder plants key copies at random lines.
+    fuzz::CaseRng rng(5);
+    fuzz::FuzzDumpSpec spec;
+    spec.bytes = KiB(256);
+    spec.planted_keys = 8;
+    spec.plant_schedule = true;
+    MemoryImage dump(fuzz::buildFuzzDump(rng, spec).bytes);
+    auto mined = mineScramblerKeys(dump);
+    ASSERT_GE(mined.size(), 9u);
+    expectSearchIgnoresLines(dump, mined, {});
+}
+
+TEST(KeyMap, DeclinesOnADdr3UniversalKeyDump)
+{
+    // Rebooted DDR3: the dump is the plaintext XOR one universal key,
+    // whose copies sit at every address. The DDR4 litmus does not
+    // pass DDR3 keys, so the key's lines are collected directly.
+    Machine victim(cpuModelByName("i5-2540M"), BiosConfig{}, 1, 18);
+    victim.installDimm(0, std::make_shared<DramModule>(
+                              dram::Generation::DDR3, MiB(1),
+                              dram::DecayParams{}, 19));
+    victim.boot();
+    platform::fillWorkload(victim, {}, 20);
+    Machine attacker(cpuModelByName("i5-2540M"), BiosConfig{}, 1, 21);
+    auto dump = platform::coldBootTransfer(victim, attacker, 0).dump;
+
+    MinedKey universal(recoverDdr3UniversalKey(dump), 0, 0);
+    for (uint32_t line = 0; line < dump.size() / 64; ++line)
+        if (hammingDistance(dump.bytes().subspan(64 * line, 64),
+                            universal.key) <= 80)
+            universal.lines.push_back(line);
+    ASSERT_GT(universal.lines.size(), 1000u);
+    universal.occurrences = universal.lines.size();
+    universal.first_offset = 64 * uint64_t{universal.lines.front()};
+    expectSearchIgnoresLines(dump, {universal}, {});
+}
+
+TEST(KeyMap, DeclinesWhenAKeyHasNoLines)
+{
+    const auto &c = skylakeCapture();
+    auto keys = c.mined;
+    keys[keys.size() / 2].lines.clear();
+    SearchParams params;
+    params.scan_start = c.keytable_addr - KiB(64);
+    params.scan_bytes = KiB(192);
+    expectSearchIgnoresLines(c.dump, keys, params);
+}
+
+TEST(KeyMap, RoutedSearchIdenticalAcrossWidthsAndSimdBackends)
+{
+    const auto &c = skylakeCapture();
+    std::string reference;
+    for (unsigned i = 0; i < simd::kBackendCount; ++i) {
+        auto be = static_cast<simd::Backend>(i);
+        if (!simd::backendUsable(be))
+            continue;
+        simd::ScopedBackend forced(be);
+        ASSERT_TRUE(forced.active());
+        for (unsigned w : {1u, 4u}) {
+            MinerParams miner;
+            miner.threads = w;
+            SearchParams params;
+            params.threads = w;
+            SearchStats stats;
+            auto mined = mineScramblerKeys(c.dump, miner);
+            ASSERT_TRUE(KeyMap(mined).confident());
+            auto found = searchAesKeyTables(c.dump, mined, params, &stats);
+            std::string fp = searchFingerprint(found, stats);
+            if (reference.empty())
+                reference = fp;
+            else
+                EXPECT_EQ(fp, reference)
+                    << simd::backendName(be) << " width " << w;
+        }
+    }
+    EXPECT_NE(reference.find(toHex({c.master.data(), 32})),
+              std::string::npos);
 }
 
 //

@@ -400,7 +400,7 @@ TEST(Corpus, MinerClusterSeedsReachASecondTileAndAMerge)
 TEST(OracleRegistry, CatalogueIsWellFormed)
 {
     const auto &oracles = allOracles();
-    ASSERT_EQ(oracles.size(), 13u);
+    ASSERT_EQ(oracles.size(), 14u);
     std::set<std::string> names;
     for (const Oracle *o : oracles) {
         EXPECT_TRUE(names.insert(o->name()).second)
