@@ -125,6 +125,24 @@ COLDBOOT_BENCH(table1_scramblers)
         ctx.report("table1." + model.name + ".distinct_keys",
                    static_cast<double>(a.distinct_keys),
                    "distinct 64-byte scrambler keys per channel");
+        const std::string shape =
+            model.name + ": " + std::to_string(a.distinct_keys) +
+            " keys, " + std::to_string(a.reboot_xor_patterns) +
+            " reboot-XOR patterns, sharing " +
+            (a.sharing_stable ? "stable" : "broken");
+        if (ddr4)
+            ctx.check(a.distinct_keys == 4096 &&
+                          a.reboot_xor_patterns > 1 &&
+                          a.litmus_all_pass && a.sharing_stable,
+                      shape + ", litmus " +
+                          (a.litmus_all_pass ? "passes" : "fails") +
+                          "; want 4096 keys, more than one pattern, "
+                          "sharing stable, litmus passes");
+        else
+            ctx.check(a.distinct_keys == 16 &&
+                          a.reboot_xor_patterns == 1 && a.sharing_stable,
+                      shape + "; want 16 keys, one pattern, sharing "
+                              "stable");
     }
     ctx.setBytesProcessed(total_bytes);
     std::printf("\nExpected shape: DDR3 parts expose 16 keys and one"

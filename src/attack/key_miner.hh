@@ -79,8 +79,11 @@ struct MinerParams
     size_t min_occurrences = 2;
     /** Filter trivially constant blocks before clustering. */
     bool drop_constant_blocks = true;
-    /** The scan's pool, as exec::ScanPlan::threads; the mined keys
-     *  are byte-identical for every value (DESIGN.md §9). */
+    /** The pool of every mining stage (the scan, the novelty proofs,
+     *  the majorities and the merge screen), as exec::StagePool reads
+     *  it: 0 = the global pool, 1 = in-line, N > 1 = one pool of N
+     *  workers for the call. The mined keys are byte-identical for
+     *  every value (DESIGN.md §9). */
     unsigned threads = 0;
     /** Checked once per scan chunk; a raised token makes the call
      *  throw exec::CancelledError. */
@@ -97,6 +100,15 @@ struct MinerStats
     size_t keys_reported = 0;
 };
 
+/** Litmus hits mineScramblerKeys() clusters per novelty-proof
+ *  batch. */
+inline constexpr size_t kMinerProofBatch = 1024;
+
+/** Clusters from which the miner's proof and merge stages run on the
+ *  pool; below it they run on the calling thread, and a batch that
+ *  starts with fewer clusters is proved in the fold itself. */
+inline constexpr size_t kMinerStageClusters = 512;
+
 /** Dump bytes mineScramblerKeys() scans: the scan limit, line
  *  aligned. */
 uint64_t minerScanBytes(const exec::DumpSource &dump,
@@ -105,10 +117,15 @@ uint64_t minerScanBytes(const exec::DumpSource &dump,
 /**
  * Mine candidate scrambler keys from a dump.
  *
- * The block scan is an exec::scanDump stage ("mine.scan"); litmus
- * hits are reduced in ascending dump order, so the clustering (and
- * hence the reported keys) are byte-identical to a sequential run
- * at any pool width (see DESIGN.md §9).
+ * The block scan is an exec::scanDump stage ("mine.scan") that
+ * collects litmus hits in ascending dump order. The hits are then
+ * clustered in that order in batches of kMinerProofBatch
+ * ("mine.cluster"), and the clusters' majority keys are merged
+ * ("mine.merge"). The novelty proofs, the majorities and the merge
+ * screen run as pool stages whose results the fold consumes in
+ * order, so the reported keys, their lines and the clustering
+ * counters are byte-identical to a sequential run at any pool width
+ * (see DESIGN.md §9 and §15).
  *
  * @param dump   Scrambled dump (any DumpSource backend).
  * @param params Tuning parameters.

@@ -47,6 +47,9 @@ struct ScanPlan
     /** As for parallelForChunks(): 0 = the global pool, 1 = in-line,
      *  N > 1 = a dedicated pool of N workers. */
     unsigned threads = 0;
+    /** When set, the scan runs on this pool and threads is ignored:
+     *  a call whose later stages share the scan's pool. */
+    StagePool *pool = nullptr;
     /** Checked before every chunk; null = never cancelled. */
     const CancelToken *cancel = nullptr;
 };
@@ -82,17 +85,18 @@ scanDump(const DumpSource &dump, const ScanPlan &plan, MapFn &&map,
     auto progress = obs::ProgressTracker::global().startJob(
         plan.name, plan.end > plan.begin ? plan.end - plan.begin : 0);
     obs::ScopedSpan span(plan.name);
+    StagePool own(plan.threads);
     try {
         parallelMapReduceChunks<T>(
-            plan.begin, plan.end, plan.grain,
+            plan.pool ? *plan.pool : own, plan.begin, plan.end,
+            plan.grain,
             [&](const ChunkRange &c) {
                 return map(detail::readScanChunk(dump, plan, c), c);
             },
             [&](T &&result, const ChunkRange &c) {
                 reduce(std::move(result), c);
                 progress->advance(c.end - c.begin);
-            },
-            plan.threads);
+            });
     } catch (...) {
         progress->finish();
         throw;

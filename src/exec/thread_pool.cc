@@ -559,28 +559,55 @@ chunkAt(uint64_t begin, uint64_t end, uint64_t grain, uint64_t index)
     return {index, lo, hi};
 }
 
+ThreadPool *
+StagePool::get()
+{
+    if (threads == 1)
+        return nullptr;
+    if (threads == 0)
+        return &ThreadPool::global();
+    if (!own)
+        own = std::make_unique<ThreadPool>(threads);
+    return own.get();
+}
+
 void
 parallelForChunks(uint64_t begin, uint64_t end, uint64_t grain,
                   const std::function<void(const ChunkRange &)> &fn,
                   unsigned threads)
 {
+    StagePool pool(threads);
+    parallelForChunks(pool, begin, end, grain, fn);
+}
+
+void
+parallelForChunks(StagePool &pool, uint64_t begin, uint64_t end,
+                  uint64_t grain,
+                  const std::function<void(const ChunkRange &)> &fn)
+{
     const uint64_t n = chunkCount(begin, end, grain);
     if (n == 0)
         return;
-    std::unique_ptr<ThreadPool> own;
-    if (threads > 1 && n > 1)
-        own = std::make_unique<ThreadPool>(threads);
-    ThreadPool &p = own ? *own : ThreadPool::global();
-    if (threads == 1 || n == 1 || p.workerCount() == 1) {
+    ThreadPool *p = n > 1 ? pool.get() : nullptr;
+    if (!p || p->workerCount() == 1) {
         for (uint64_t i = 0; i < n; ++i)
             fn(chunkAt(begin, end, grain, i));
         return;
     }
     obs::ScopedSpan span("exec.parallel_for");
-    ThreadPool::TaskGroup group(p);
-    for (uint64_t i = 0; i < n; ++i)
-        group.run([&fn, begin, end, grain, i] {
-            fn(chunkAt(begin, end, grain, i));
+    // One task per worker (at most one per chunk), each claiming the
+    // next chunk in ascending order until none is left. A task per
+    // chunk made a submitter outside the pool hand out tasks while
+    // competing with the busy workers for the cores, ~0.2 ms each
+    // on a 4-core host, so a stage of 100 small chunks ran at the
+    // pace of its submissions.
+    std::atomic<uint64_t> next{0};
+    ThreadPool::TaskGroup group(*p);
+    for (uint64_t t = std::min<uint64_t>(n, p->workerCount()); t > 0; --t)
+        group.run([&] {
+            for (uint64_t i;
+                 (i = next.fetch_add(1, std::memory_order_relaxed)) < n;)
+                fn(chunkAt(begin, end, grain, i));
         });
     group.wait();
 }

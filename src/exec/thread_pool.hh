@@ -275,13 +275,40 @@ ChunkRange chunkAt(uint64_t begin, uint64_t end, uint64_t grain,
                    uint64_t index);
 
 /**
- * Apply @p fn to every grain-sized chunk of [begin, end) on the pool
- * @p threads names: 0 = the global pool, 1 = in-line on the calling
- * thread, N > 1 = a dedicated pool of N workers for this call. Runs
- * inline as well when the range has a single chunk or the pool has
- * one worker. @p fn must tolerate concurrent invocation on distinct
- * chunks; exceptions propagate to the caller (first wins).
+ * The pool a `threads` value names: 0 = the global pool, 1 = none
+ * (in-line on the calling thread), N > 1 = a dedicated pool of N
+ * workers, built on the first get() and joined with this object. A
+ * call with several parallel stages holds one StagePool, so it
+ * builds at most one pool however many stages dispatch.
  */
+class StagePool
+{
+  public:
+    explicit StagePool(unsigned threads_) : threads(threads_) {}
+    StagePool(const StagePool &) = delete;
+    StagePool &operator=(const StagePool &) = delete;
+
+    /** The pool to run on; nullptr = in-line. */
+    ThreadPool *get();
+
+  private:
+    unsigned threads;
+    std::unique_ptr<ThreadPool> own;
+};
+
+/**
+ * Apply @p fn to every grain-sized chunk of [begin, end) on @p pool:
+ * one task per worker claims chunks in ascending order until none is
+ * left. Runs inline when the pool is none, the range has a single
+ * chunk or the pool has one worker. @p fn must tolerate concurrent
+ * invocation on distinct chunks; exceptions propagate to the caller
+ * (first wins).
+ */
+void parallelForChunks(StagePool &pool, uint64_t begin, uint64_t end,
+                       uint64_t grain,
+                       const std::function<void(const ChunkRange &)> &fn);
+
+/** parallelForChunks() on the pool @p threads names (StagePool). */
 void parallelForChunks(uint64_t begin, uint64_t end, uint64_t grain,
                        const std::function<void(const ChunkRange &)> &fn,
                        unsigned threads = 0);
@@ -299,18 +326,18 @@ void parallelForChunks(uint64_t begin, uint64_t end, uint64_t grain,
  * @param map     T map(const ChunkRange &)  - thread-safe.
  * @param reduce  void reduce(T &&, const ChunkRange &) - caller
  *                thread, ascending chunk index.
- * @param threads As for parallelForChunks().
+ * @param pool    As for parallelForChunks().
  */
 template <typename T, typename MapFn, typename ReduceFn>
 void
-parallelMapReduceChunks(uint64_t begin, uint64_t end, uint64_t grain,
-                        MapFn &&map, ReduceFn &&reduce,
-                        unsigned threads = 0)
+parallelMapReduceChunks(StagePool &pool, uint64_t begin, uint64_t end,
+                        uint64_t grain, MapFn &&map, ReduceFn &&reduce)
 {
     const uint64_t n = chunkCount(begin, end, grain);
     if (n == 0)
         return;
-    if (threads == 1 || n == 1) {
+    ThreadPool *p = n > 1 ? pool.get() : nullptr;
+    if (!p || p->workerCount() == 1) {
         for (uint64_t i = 0; i < n; ++i) {
             ChunkRange c = chunkAt(begin, end, grain, i);
             reduce(map(c), c);
@@ -322,14 +349,26 @@ parallelMapReduceChunks(uint64_t begin, uint64_t end, uint64_t grain,
     // with the ordered reduction below.
     std::vector<std::optional<T>> results(n);
     parallelForChunks(
-        begin, end, grain,
-        [&](const ChunkRange &c) { results[c.index].emplace(map(c)); },
-        threads);
+        pool, begin, end, grain,
+        [&](const ChunkRange &c) { results[c.index].emplace(map(c)); });
     for (uint64_t i = 0; i < n; ++i) {
         ChunkRange c = chunkAt(begin, end, grain, i);
         reduce(std::move(*results[i]), c);
         results[i].reset();
     }
+}
+
+/** parallelMapReduceChunks() on the pool @p threads names. */
+template <typename T, typename MapFn, typename ReduceFn>
+void
+parallelMapReduceChunks(uint64_t begin, uint64_t end, uint64_t grain,
+                        MapFn &&map, ReduceFn &&reduce,
+                        unsigned threads = 0)
+{
+    StagePool pool(threads);
+    parallelMapReduceChunks<T>(pool, begin, end, grain,
+                               std::forward<MapFn>(map),
+                               std::forward<ReduceFn>(reduce));
 }
 
 } // namespace coldboot::exec

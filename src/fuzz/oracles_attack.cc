@@ -175,12 +175,14 @@ plainDistance(std::span<const uint8_t> a, std::span<const uint8_t> b)
 /**
  * The miner's clustering written as the plain loops it used before
  * the prefix screen. Returns the reported keys, sorted as the miner
- * sorts them, with every member's line, and counts clusters and
- * merges.
+ * sorts them, with every member's line, and counts clusters, merges
+ * and the proof batches that start with at least
+ * kMinerStageClusters clusters (the batches whose proofs the miner
+ * makes in a stage).
  */
 std::vector<MinedKey>
 referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
-              size_t &clusters, size_t &merges)
+              size_t &clusters, size_t &merges, size_t &staged_batches)
 {
     using Block = std::array<uint8_t, 64>;
     const unsigned dist = mp.cluster_distance;
@@ -189,6 +191,8 @@ referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
     std::vector<size_t> members;
     std::vector<uint64_t> first_offset;
     std::vector<std::vector<uint32_t>> lines;
+    size_t hits = 0;
+    staged_batches = 0;
     for (uint64_t off = 0; off + 64 <= bytes.size(); off += 64) {
         std::span<const uint8_t> block(&bytes[off], 64);
         if (!attack::scramblerKeyLitmus(block,
@@ -196,6 +200,9 @@ referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
             (mp.drop_constant_blocks &&
              attack::isConstantBlock(block)))
             continue;
+        if (hits++ % attack::kMinerProofBatch == 0 &&
+            reps.size() >= attack::kMinerStageClusters)
+            ++staged_batches;
         // Exact-chunk buckets: chunk 0-7, each in creation order. The
         // miner keys a bucket by value * 8 + chunk index in 64 bits,
         // so chunk values match modulo 2^61.
@@ -300,7 +307,11 @@ flipPair(std::array<uint8_t, 64> &block, unsigned p)
  * occurrence counts, first offsets and lines. The dumps hold more clusters
  * than one 256-key screen tile, copies 78-82 bits from their
  * representative, and keys split across three clusters whose
- * majorities the merge pass joins again.
+ * majorities the merge pass joins again. From scale 1 they also hold
+ * enough keys for several proof batches with the proof stage on,
+ * copies that only a screen of their own batch's clusters places,
+ * and copies that a bucket joins to a cluster made in their batch
+ * while an older one is also within distance.
  */
 class MinerClusterExactOracle final : public Oracle
 {
@@ -357,8 +368,13 @@ class MinerClusterExactOracle final : public Oracle
         // blocks are consecutive litmus hits.
         using Run = std::vector<Block>;
         std::vector<std::vector<Run>> groups;
-        // Plain keys: more distinct keys than one screen tile.
-        for (uint64_t n = 260 + rng.below(120); n > 0; --n) {
+        // Plain keys: more distinct keys than one screen tile; from
+        // scale 1, enough hits for several proof batches, most of
+        // them proved in a stage.
+        const bool batched = params.scale >= 1;
+        for (uint64_t n = batched ? 600 + rng.below(900)
+                                  : 260 + rng.below(120);
+             n > 0; --n) {
             Block key = poolKey();
             auto &g = groups.emplace_back();
             for (uint64_t c = 1 + rng.below(3); c > 0; --c)
@@ -449,6 +465,51 @@ class MinerClusterExactOracle final : public Oracle
                 g.push_back({near3});
         }
 
+        if (batched) {
+            // A key and, right after it, a copy 40-78 bits off with a
+            // flip pair in every row, so in no bucket: when the key
+            // starts its batch's first cluster, only a screen of the
+            // batch's own clusters from that one on places the copy.
+            for (uint64_t n = 60 + rng.below(60); n > 0; --n) {
+                Block key = poolKey();
+                auto order = shuffled(64);
+                Block copy = key;
+                for (uint64_t k = 0, pairs = 20 + rng.below(20);
+                     k < pairs; ++k)
+                    flipPair(copy, 64 * static_cast<unsigned>(k % 4) +
+                                       order[k / 4]);
+                groups.push_back({{key, copy}});
+            }
+            // key, then later key ^ m1 and right after it key ^ m2.
+            // m1 is a row-0 pairs and b pairs in rows 1-3 (82-86
+            // bits, every chunk): key ^ m1 starts a cluster. m2 is
+            // the same row-0 pairs and e other pairs in rows 1-3
+            // (42-56 bits, every chunk, 62 bits at most from key ^
+            // m1): no bucket of key's places key ^ m2, and a proof at
+            // batch start finds key, but the bucket of key ^ m1's
+            // row-0 chunks joins it there first.
+            for (uint64_t n = 20 + rng.below(40); n > 0; --n) {
+                Block key = poolKey();
+                auto inner = shuffled(64), outer = shuffled(64);
+                auto outerPair = [&](unsigned k) {
+                    return 64 * (1 + k % 3) + outer[k / 3];
+                };
+                unsigned a = 18 + static_cast<unsigned>(rng.below(5));
+                unsigned b = 41 - a + static_cast<unsigned>(rng.below(3));
+                unsigned e = 3 + static_cast<unsigned>(rng.below(4));
+                Block far = key, near = key;
+                for (unsigned p = 0; p < a; ++p) {
+                    flipPair(far, inner[p]);
+                    flipPair(near, inner[p]);
+                }
+                for (unsigned k = 0; k < b; ++k)
+                    flipPair(far, outerPair(k));
+                for (unsigned k = b; k < b + e; ++k)
+                    flipPair(near, outerPair(k));
+                groups.push_back({{key}, {far, near}});
+            }
+        }
+
         // Random lines in ascending order, then a random interleaving
         // of the groups' runs.
         size_t planted = 0, runs = 0;
@@ -457,7 +518,10 @@ class MinerClusterExactOracle final : public Oracle
             for (const auto &run : g)
                 planted += run.size();
         }
-        const uint64_t lines = (uint64_t{2048} << params.scale);
+        const uint64_t lines =
+            batched ? std::max<uint64_t>(uint64_t{2048} << params.scale,
+                                         std::bit_ceil(2 * planted))
+                    : uint64_t{2048} << params.scale;
         std::vector<uint8_t> bytes(lines * 64);
         rng.fill(bytes);
         std::vector<uint64_t> slots;
@@ -488,8 +552,9 @@ class MinerClusterExactOracle final : public Oracle
         attack::MinerStats stats;
         exec::MemoryDumpSource source(bytes);
         auto mined = attack::mineScramblerKeys(source, mp, &stats);
-        size_t clusters = 0, merges = 0;
-        auto want = referenceMine(bytes, mp, clusters, merges);
+        size_t clusters = 0, merges = 0, staged_batches = 0;
+        auto want =
+            referenceMine(bytes, mp, clusters, merges, staged_batches);
 
         size_t i = 0;
         while (i < mined.size() && i < want.size() &&
@@ -514,6 +579,8 @@ class MinerClusterExactOracle final : public Oracle
             res.feature(1); // more clusters than one screen tile
         if (merges > 0)
             res.feature(2); // the merge pass fired
+        if (staged_batches > 0)
+            res.feature(5); // a proof batch was proved in a stage
         res.feature(mp.cluster_distance == 80 ? 3 : 4);
         return res;
     }

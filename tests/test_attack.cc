@@ -504,6 +504,66 @@ searchFingerprint(const std::vector<RecoveredAesKey> &found,
     return fp;
 }
 
+/** Mined keys with their counts, offsets and lines, and the
+ *  clustering counters' deltas, as one comparable string. */
+std::string
+minerFingerprint(const MemoryImage &dump, const MinerParams &params)
+{
+    auto &registry = obs::StatRegistry::global();
+    const char *counters[] = {"attack.miner.screened",
+                              "attack.miner.bucket_joins",
+                              "attack.miner.merges"};
+    uint64_t before[3];
+    for (int i = 0; i < 3; ++i)
+        before[i] = registry.counter(counters[i]).value();
+    std::string fp;
+    for (const auto &k : mineScramblerKeys(dump, params)) {
+        fp += toHex(k.key) + "*" + std::to_string(k.occurrences) + "@" +
+              std::to_string(k.first_offset) + ":";
+        for (uint32_t line : k.lines)
+            fp += std::to_string(line) + ",";
+        fp += ";";
+    }
+    for (int i = 0; i < 3; ++i)
+        fp += std::to_string(registry.counter(counters[i]).value() -
+                             before[i]) +
+              "/";
+    return fp;
+}
+
+TEST(KeyMiner, ClusteringIdenticalAcrossWidthsAndSimdBackends)
+{
+    // 4,097 clusters: the proof and merge stages run on the pool at
+    // widths 4 and 0, in-line at width 1.
+    const auto &c = skylakeCapture();
+    ASSERT_GT(c.mined.size(), kMinerStageClusters);
+    auto &tasks =
+        obs::StatRegistry::global().counter("exec.pool.tasks_executed");
+    std::string reference;
+    for (unsigned i = 0; i < simd::kBackendCount; ++i) {
+        auto be = static_cast<simd::Backend>(i);
+        if (!simd::backendUsable(be))
+            continue;
+        simd::ScopedBackend forced(be);
+        ASSERT_TRUE(forced.active());
+        for (unsigned w : {1u, 4u, 0u}) {
+            MinerParams params;
+            params.threads = w;
+            const uint64_t tasks0 = tasks.value();
+            std::string fp = minerFingerprint(c.dump, params);
+            if (w == 4) { // more tasks than the scan's 1 MiB chunks
+                EXPECT_GT(tasks.value() - tasks0, c.dump.size() / MiB(1))
+                    << simd::backendName(be);
+            }
+            if (reference.empty())
+                reference = fp;
+            else
+                EXPECT_EQ(fp, reference)
+                    << simd::backendName(be) << " width " << w;
+        }
+    }
+}
+
 uint64_t
 routedBlocks()
 {

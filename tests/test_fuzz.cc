@@ -376,9 +376,10 @@ TEST(Corpus, CheckedInCorpusReplaysClean)
 
 TEST(Corpus, MinerClusterSeedsReachASecondTileAndAMerge)
 {
-    // The screened clustering's two paths no other oracle reaches:
-    // more clusters than one screen tile (feature 1) and a merge pass
-    // that fires (feature 2). Every corpus seed reaches both.
+    // The screened clustering's paths no other oracle reaches: more
+    // clusters than one screen tile (feature 1) and a merge pass that
+    // fires (feature 2), which every corpus seed reaches, and from
+    // scale 1 a proof batch proved in a stage (feature 5).
     size_t seeds = 0;
     for (const auto &e :
          loadCorpusDir(COLDBOOT_SOURCE_DIR "/tests/fuzz_corpus")) {
@@ -391,6 +392,9 @@ TEST(Corpus, MinerClusterSeedsReachASecondTileAndAMerge)
                                    res.features.end());
         EXPECT_TRUE(reached.count(1) && reached.count(2))
             << formatCorpusEntry(e);
+        if (e.params.scale >= 1) {
+            EXPECT_TRUE(reached.count(5)) << formatCorpusEntry(e);
+        }
     }
     EXPECT_GE(seeds, 1u);
 }
