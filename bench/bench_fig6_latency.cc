@@ -6,9 +6,12 @@
  * utilization sweep on DDR4-2400 and prints the worst keystream
  * latency plus both exposure accountings (see latency_sim.hh). The
  * 12.5 ns minimum CAS window is the line every series is judged
- * against.
+ * against. Gated: ChaCha8 is never exposed, ChaCha12/20 always are,
+ * AES-128/256 only once the load queues them, and the bank-level
+ * cross-check exposes exactly ChaCha12/20.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,6 +25,18 @@
 using namespace coldboot;
 using namespace coldboot::engine;
 
+namespace
+{
+
+/** The two engines whose pipeline delay exceeds the window. */
+bool
+slowerThanWindow(CipherKind kind)
+{
+    return kind == CipherKind::ChaCha12 || kind == CipherKind::ChaCha20;
+}
+
+} // anonymous namespace
+
 COLDBOOT_BENCH(fig6_latency)
 {
     const auto &grade = dram::ddr4_2400();
@@ -34,6 +49,21 @@ COLDBOOT_BENCH(fig6_latency)
                     : std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5,
                                           0.6, 0.7, 0.8, 0.9, 1.0};
     auto rows = figure6Sweep(grade, utils);
+
+    for (const auto &row : rows) {
+        const bool exposed = row.result.max_window_exposure_ps > 0;
+        const std::string at =
+            std::string(cipherKindName(row.kind)) + " at " +
+            std::to_string(std::lround(row.utilization * 100)) +
+            "% load";
+        if (slowerThanWindow(row.kind))
+            ctx.check(exposed, at + " exposes latency past the window");
+        else if (row.kind == CipherKind::ChaCha8 ||
+                 row.utilization == utils.front())
+            ctx.check(!exposed, at + " stays within the window");
+        else if (row.utilization == utils.back())
+            ctx.check(exposed, at + " queues past the window");
+    }
 
     // Headline figures as report sections: the full-load point per
     // engine.
@@ -95,17 +125,23 @@ COLDBOOT_BENCH(fig6_latency)
     // Protocol-grounded cross-check: feed each engine the CAS/data
     // stream of an all-row-hit burst from the bank-level DDR4 timing
     // simulator (commands at tCCD, data bus saturated).
+    const unsigned hits = ctx.pick(64u, 16u);
     std::printf("\nProtocol-grounded worst exposure (bank-level "
-                "simulator, 64 row-buffer hits):\n");
+                "simulator, %u row-buffer hits):\n",
+                hits);
     auto params = dram::BankTimingParams::forGrade(grade);
     dram::BankTimingSimulator bank_sim(params);
-    auto burst = bank_sim.simulateRowHitBurst(ctx.pick(64u, 16u));
+    auto burst = bank_sim.simulateRowHitBurst(hits);
     for (const auto &spec : tableIIEngines()) {
         Picoseconds exp = dram::engineExposureOverStream(
             burst, params, spec.periodPs(), spec.depthCycles(),
             spec.counters_per_line);
         std::printf("  %-10s %8.2f ns\n", cipherKindName(spec.kind),
                     psToNs(exp));
+        ctx.check((exp > 0) == slowerThanWindow(spec.kind),
+                  std::string(cipherKindName(spec.kind)) +
+                      " exposed over the row-hit burst exactly when "
+                      "slower than the window");
     }
 
     std::printf(

@@ -3,7 +3,9 @@
  * E8 - Figure 7: power and area overhead of replacing scramblers
  * with strong cipher engines, one engine per channel, against four
  * 45 nm reference CPUs at 100% and a realistic 20% bandwidth
- * utilization.
+ * utilization. Gated: area at most 1% on every row, and power under
+ * 3% at full load except on the Atom N280, which must get under 6%
+ * at 20%.
  */
 
 #include <cstdio>
@@ -37,6 +39,15 @@ COLDBOOT_BENCH(fig7_power_area)
                     channels, 100.0 * row.area_fraction,
                     100.0 * row.power_fraction_full,
                     100.0 * row.power_fraction_20);
+        const std::string what =
+            row.cpu + " " + cipherKindName(row.engine);
+        ctx.check(row.area_fraction <= 0.01, what + ": area <= 1%");
+        if (row.cpu == "Atom N280")
+            ctx.check(row.power_fraction_20 < 0.06,
+                      what + ": power at 20% load < 6%");
+        else
+            ctx.check(row.power_fraction_full < 0.03,
+                      what + ": power at full load < 3%");
         ctx.report(std::string("fig7.") + row.cpu + "." +
                        cipherKindName(row.engine) + ".power_pct_full",
                    100.0 * row.power_fraction_full,

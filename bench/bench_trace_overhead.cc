@@ -6,8 +6,7 @@
  * The deep-profiling layer is sold as "cheap enough to leave on";
  * this bench holds it to that. The same cold-boot dump is mined
  * twice per repetition - once with the tracer and flight recorder
- * off, once with both on (plus span-perf attribution when the
- * machine allows it) - and the overhead lands in BENCH.json where
+ * off, once with both on - and the overhead lands in BENCH.json where
  * `bench_compare` turns a tracing-cost regression into a CI failure.
  *
  * Determinism cross-check rides along for free: both sweeps must
@@ -82,23 +81,19 @@ COLDBOOT_BENCH(trace_overhead)
     obs::FlightRecorder &flight = obs::FlightRecorder::global();
     const bool was_tracing = tracer.enabled();
     const bool was_flight = flight.enabled();
-    const bool was_span_perf = obs::PhaseTracer::spanPerfEnabled();
 
     // Off: no spans, no flight rings.
     tracer.setEnabled(false);
     flight.setEnabled(false);
-    obs::PhaseTracer::setSpanPerfEnabled(false);
     double off_secs = mineOnce(cold.dump);
 
-    // On: spans + flow events + flight rings + span perf deltas.
+    // On: spans + flow events + flight rings.
     tracer.setEnabled(true);
     flight.setEnabled(true);
-    obs::PhaseTracer::setSpanPerfEnabled(true);
     double on_secs = mineOnce(cold.dump);
 
     tracer.setEnabled(was_tracing);
     flight.setEnabled(was_flight);
-    obs::PhaseTracer::setSpanPerfEnabled(was_span_perf);
 
     double overhead_pct =
         off_secs > 0.0 ? (on_secs - off_secs) / off_secs * 100.0
@@ -111,7 +106,7 @@ COLDBOOT_BENCH(trace_overhead)
     ctx.report("trace_overhead.off_seconds", off_secs,
                "mining sweep, tracing+flight disabled");
     ctx.report("trace_overhead.on_seconds", on_secs,
-               "mining sweep, tracing+flight+span-perf enabled");
+               "mining sweep, tracing+flight enabled");
     ctx.report("trace_overhead.overhead_percent", overhead_pct,
                "relative cost of the observability layer");
     ctx.setBytesProcessed(2 * cold.dump.size());

@@ -250,8 +250,9 @@ AttackSession::finalize()
     registry.counter("attack.pipeline.xts_pairs",
                      "XTS master key pairs recovered")
         .add(report_.xts_pairs.size());
-    registry.rate("attack.pipeline.runs",
-                  "end-to-end attack pipelines completed").add();
+    registry.counter("attack.pipeline.runs",
+                     "end-to-end attack pipelines completed")
+        .add();
 
     // Throughput from the wall clock accumulated across steps; an
     // empty dump (or an impossibly fast run) reports 0, never

@@ -311,8 +311,6 @@ runBench(const BenchInfo &info, const RunConfig &config)
     result.name = info.name;
 
     BenchContext ctx(info.name, config.smoke);
-    PerfCounters counters;
-    result.counters_unavailable_reason = counters.unavailableReason();
 
     for (int w = 0; w < config.warmup; ++w) {
         StdoutMuter mute(true);
@@ -321,16 +319,12 @@ runBench(const BenchInfo &info, const RunConfig &config)
 
     std::vector<double> wall_ns;
     wall_ns.reserve(static_cast<size_t>(config.repetitions));
-    PerfSample total;
-    total.available = counters.available();
     for (int rep = 0; rep < config.repetitions; ++rep) {
         StdoutMuter mute(config.quiet || rep > 0);
         ScopedSpan span("bench." + info.name);
-        counters.start();
         auto t0 = std::chrono::steady_clock::now();
         info.fn(ctx);
         auto t1 = std::chrono::steady_clock::now();
-        total += counters.stop();
         span.stop();
         wall_ns.push_back(
             std::chrono::duration<double, std::nano>(t1 - t0)
@@ -339,7 +333,6 @@ runBench(const BenchInfo &info, const RunConfig &config)
 
     result.wall_ns = summarize(wall_ns, config.bootstrap_resamples,
                                config.bootstrap_seed);
-    result.counters = total;
     result.max_rss_kib = maxRssKib();
     result.reports = ctx.reports();
     result.failed_checks = ctx.failedChecks();
@@ -386,9 +379,8 @@ resultTableHeader()
 {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "%-22s %12s %12s %12s %10s %8s %10s", "bench",
-                  "median ms", "ci95 ms", "mad ms", "MiB/s", "ipc",
-                  "rss MiB");
+                  "%-22s %12s %12s %12s %10s %10s", "bench",
+                  "median ms", "ci95 ms", "mad ms", "MiB/s", "rss MiB");
     return buf;
 }
 
@@ -399,18 +391,12 @@ resultTableRow(const BenchResult &result)
     std::snprintf(ci, sizeof(ci), "%.2f-%.2f",
                   result.wall_ns.ci95_lo * 1e-6,
                   result.wall_ns.ci95_hi * 1e-6);
-    char ipc[16];
-    if (result.counters.available)
-        std::snprintf(ipc, sizeof(ipc), "%8.2f",
-                      result.counters.ipc());
-    else
-        std::snprintf(ipc, sizeof(ipc), "%8s", "n/a");
     char buf[200];
     std::snprintf(buf, sizeof(buf),
-                  "%-22s %12.3f %12s %12.3f %10.1f %s %10.1f",
+                  "%-22s %12.3f %12s %12.3f %10.1f %10.1f",
                   result.name.c_str(), result.wall_ns.median * 1e-6,
                   ci, result.wall_ns.mad * 1e-6,
-                  result.bytes_per_second / (1024.0 * 1024.0), ipc,
+                  result.bytes_per_second / (1024.0 * 1024.0),
                   static_cast<double>(result.max_rss_kib) / 1024.0);
     return buf;
 }
@@ -432,28 +418,6 @@ sampleStatsJson(const SampleStats &s)
     out += ", \"mad\": " + number(s.mad);
     out += ", \"ci95_lo\": " + number(s.ci95_lo);
     out += ", \"ci95_hi\": " + number(s.ci95_hi);
-    out += "}";
-    return out;
-}
-
-std::string
-countersJson(const BenchResult &r)
-{
-    using json::escape;
-    const PerfSample &c = r.counters;
-    if (!c.available) {
-        return "{\"available\": false, \"reason\": \"" +
-               escape(r.counters_unavailable_reason) + "\"}";
-    }
-    std::string out = "{\"available\": true";
-    out += ", \"cycles\": " + std::to_string(c.cycles);
-    out += ", \"instructions\": " + std::to_string(c.instructions);
-    out += ", \"ipc\": " + json::number(c.ipc());
-    out += ", \"cache_references\": " +
-           std::to_string(c.cache_references);
-    out += ", \"cache_misses\": " + std::to_string(c.cache_misses);
-    out += ", \"branches\": " + std::to_string(c.branches);
-    out += ", \"branch_misses\": " + std::to_string(c.branch_misses);
     out += "}";
     return out;
 }
@@ -498,7 +462,6 @@ resultsToJson(const RunConfig &config, const EnvironmentInfo &env,
                number(r.items_per_second) + ",\n";
         out += "     \"max_rss_kib\": " +
                std::to_string(r.max_rss_kib) + ",\n";
-        out += "     \"counters\": " + countersJson(r) + ",\n";
         out += "     \"reports\": {";
         bool first_report = true;
         for (const auto &kv : r.reports) {

@@ -7,12 +7,10 @@
  * A benchmark is a function `void name(BenchContext &)` registered
  * with `COLDBOOT_BENCH(name)`. The `coldboot-bench` driver runs each
  * registered bench with warmup + repetition control, times every
- * repetition, reads hardware counters around it (obs::PerfCounters,
- * with a graceful fallback when `perf_event_open` is denied), records
- * the `getrusage` RSS high-water mark, and computes robust statistics
- * over the repetition times: min/max, mean/stddev, median, MAD, and a
- * 95% confidence interval for the median via a deterministic
- * percentile bootstrap.
+ * repetition, records the `getrusage` RSS high-water mark, and
+ * computes robust statistics over the repetition times: min/max,
+ * mean/stddev, median, MAD, and a 95% confidence interval for the
+ * median via a deterministic percentile bootstrap.
  *
  * Benches publish their paper-figure reproductions ("report"
  * sections) through `BenchContext::report()`, which lands both in the
@@ -34,8 +32,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-#include "obs/perf.hh"
 
 namespace coldboot::obs::bench
 {
@@ -224,10 +220,6 @@ struct BenchResult
     /** Derived from the median time; 0 when the bench gave no hint. */
     double bytes_per_second = 0.0;
     double items_per_second = 0.0;
-    /** Hardware counters summed over all repetitions. */
-    PerfSample counters;
-    /** Why counters are unavailable ("" when they are available). */
-    std::string counters_unavailable_reason;
     /** getrusage(RUSAGE_SELF) max RSS after the bench, in KiB. */
     uint64_t max_rss_kib = 0;
     /** Figures published via BenchContext::report(). */
@@ -252,7 +244,7 @@ EnvironmentInfo collectEnvironment();
 
 /**
  * Run one bench under the harness: warmups, then config.repetitions
- * timed+counted repetitions (each recorded as trace span
+ * timed repetitions (each recorded as trace span
  * `bench.<name>`).
  */
 BenchResult runBench(const BenchInfo &info, const RunConfig &config);

@@ -87,15 +87,6 @@ renderPrometheusText(const std::vector<StatSnapshot> &stats)
             emitFamily(out, name, s.desc, "gauge");
             out += name + " " + promNumber(s.value) + "\n";
             break;
-          case StatSnapshot::Type::Rate:
-            emitFamily(out, name, s.desc, "counter");
-            out += name + " " + promNumber(s.value) + "\n";
-            emitFamily(out, name + "_per_second",
-                       "derived events-per-second of " + s.name,
-                       "gauge");
-            out += name + "_per_second " +
-                   promNumber(s.per_second) + "\n";
-            break;
           case StatSnapshot::Type::Distribution: {
             const DistributionSnapshot &d = s.dist;
             if (!d.bucket_edges.empty()) {

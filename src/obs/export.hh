@@ -35,7 +35,6 @@ std::string prometheusName(const std::string &name);
  * Render registry stats as Prometheus text exposition:
  *  - counters  -> `# TYPE <name> counter` + value;
  *  - scalars   -> gauge;
- *  - rates     -> counter + a `<name>_per_second` gauge;
  *  - distributions -> histogram when bucket edges exist (cumulative
  *    `_bucket{le="..."}` series ending in `le="+Inf"`, plus `_sum` /
  *    `_count`), else `_count`/`_sum`/`_min`/`_max`/`_mean` gauges.

@@ -59,11 +59,7 @@ const char *const Runtime::usage =
     "  --flight-record <file>\n"
     "                        arm the flight recorder: per-thread\n"
     "                        event rings + post-mortem JSON at <file>\n"
-    "                        on SIGSEGV/SIGBUS/SIGABRT or cb_fatal\n"
-    "  --profile-spans       attach perf-counter deltas (cycles,\n"
-    "                        instructions, cache misses) to every\n"
-    "                        span, in the trace and as obs.span.*\n"
-    "                        stats\n";
+    "                        on SIGSEGV/SIGBUS/SIGABRT or cb_fatal\n";
 
 Runtime::Runtime(int &argc, char **argv)
 {
@@ -75,9 +71,7 @@ Runtime::Runtime(int &argc, char **argv)
                              : arg == "--serve-obs"     ? &serve_spec
                              : arg == "--flight-record" ? &flight_path
                                                         : nullptr;
-        if (arg == "--profile-spans")
-            profile_spans = true;
-        else if (value == nullptr)
+        if (value == nullptr)
             argv[kept++] = argv[i];
         else if (i + 1 < argc)
             *value = argv[++i];
@@ -111,8 +105,6 @@ void
 Runtime::start(OnSignal on_signal)
 {
     started = true;
-    if (profile_spans)
-        PhaseTracer::setSpanPerfEnabled(true);
     // Before any work starts: crash forensics are only useful if the
     // rings recorded from the beginning of the run. Serving without
     // a dump path still records, so GET /flight has data.

@@ -1,7 +1,7 @@
 /**
  * @file
  * The observability bootstrap shared by coldboot-tool,
- * coldboot-served and coldboot-bench: five command-line flags
+ * coldboot-served and coldboot-bench: four command-line flags
  * (Runtime::usage), the sinks they arm, SIGINT/SIGTERM handling, and
  * the stats/trace flush at exit.
  *
@@ -81,9 +81,9 @@ class Runtime
     const std::string &error() const { return arg_error; }
 
     /**
-     * Arm span perf, the flight recorder (crash handler with
-     * `--flight-record`, recording alone with `--serve-obs`) and its
-     * refresh loop, and the global tracer (`--trace`); start the HTTP
+     * Arm the flight recorder (crash handler with `--flight-record`,
+     * recording alone with `--serve-obs`) and its refresh loop, and
+     * the global tracer (`--trace`); start the HTTP
      * server and announce the bound address on stdout; install the
      * SIGINT/SIGTERM handler. cb_fatal()s when the `--serve-obs`
      * endpoint is malformed or cannot be bound.
@@ -106,7 +106,6 @@ class Runtime
 
   private:
     std::string stats_path, trace_path, serve_spec, flight_path;
-    bool profile_spans = false;
     std::string arg_error;
     bool started = false;
     std::atomic<bool> finished{false};

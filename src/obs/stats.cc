@@ -92,34 +92,6 @@ Distribution::reset()
 }
 
 //
-// Rate
-//
-
-double
-Rate::seconds() const
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-double
-Rate::perSecond() const
-{
-    double secs = seconds();
-    if (secs <= 0.0)
-        return 0.0;
-    return static_cast<double>(events.value()) / secs;
-}
-
-void
-Rate::reset()
-{
-    events.reset();
-    start = std::chrono::steady_clock::now();
-}
-
-//
 // StatRegistry
 //
 
@@ -183,25 +155,6 @@ StatRegistry::distribution(const std::string &name,
                 .first->second->dist;
 }
 
-Rate &
-StatRegistry::rate(const std::string &name, const std::string &desc)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = entries.find(name);
-    if (it != entries.end()) {
-        if (it->second->kind != Kind::RateKind)
-            cb_fatal("stat '%s' already registered with a different "
-                     "type", name.c_str());
-        return *it->second->rate;
-    }
-    auto entry = std::make_unique<Entry>();
-    entry->kind = Kind::RateKind;
-    entry->desc = desc;
-    entry->rate = std::make_unique<Rate>();
-    return *entries.emplace(name, std::move(entry))
-                .first->second->rate;
-}
-
 void
 StatRegistry::setScalar(const std::string &name, double value,
                         const std::string &desc)
@@ -259,11 +212,6 @@ StatRegistry::snapshotAll() const
             s.type = StatSnapshot::Type::Scalar;
             s.value = e.scalar.load(std::memory_order_relaxed);
             break;
-          case Kind::RateKind:
-            s.type = StatSnapshot::Type::Rate;
-            s.value = static_cast<double>(e.rate->value());
-            s.per_second = e.rate->perSecond();
-            break;
           case Kind::DistributionKind:
             s.type = StatSnapshot::Type::Distribution;
             s.dist = e.dist->snapshot();
@@ -275,14 +223,6 @@ StatRegistry::snapshotAll() const
     return out;
 }
 
-double
-StatRegistry::wallSeconds() const
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - epoch)
-        .count();
-}
-
 void
 StatRegistry::resetForTest()
 {
@@ -292,7 +232,6 @@ StatRegistry::resetForTest()
         switch (e.kind) {
           case Kind::CounterKind: e.counter.reset(); break;
           case Kind::DistributionKind: e.dist->reset(); break;
-          case Kind::RateKind: e.rate->reset(); break;
           case Kind::ScalarKind: e.scalar.store(0.0); break;
         }
     }
@@ -319,15 +258,6 @@ StatRegistry::dumpText() const
             std::snprintf(buf, sizeof(buf), "%-52s %20.6g\n",
                           kv.first.c_str(),
                           e.scalar.load(std::memory_order_relaxed));
-            out += buf;
-            break;
-          case Kind::RateKind:
-            std::snprintf(buf, sizeof(buf),
-                          "%-52s %20llu (%.6g/s)\n",
-                          kv.first.c_str(),
-                          static_cast<unsigned long long>(
-                              e.rate->value()),
-                          e.rate->perSecond());
             out += buf;
             break;
           case Kind::DistributionKind: {
@@ -371,13 +301,6 @@ StatRegistry::dumpJson() const
             out += "\"type\": \"scalar\", \"value\": " +
                    jsonNumber(
                        e.scalar.load(std::memory_order_relaxed));
-            break;
-          case Kind::RateKind:
-            out += "\"type\": \"rate\", \"value\": " +
-                   std::to_string(e.rate->value()) +
-                   ", \"seconds\": " + jsonNumber(e.rate->seconds()) +
-                   ", \"per_second\": " +
-                   jsonNumber(e.rate->perSecond());
             break;
           case Kind::DistributionKind: {
             auto s = e.dist->snapshot();

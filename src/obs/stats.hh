@@ -1,9 +1,9 @@
 /**
  * @file
  * gem5-style statistics registry (the idiom common/logging.hh already
- * borrows from): named scalar counters, distributions/histograms,
- * and rate stats, collected in a thread-safe process-global registry
- * and exportable as a flat text or JSON dump.
+ * borrows from): named counters, scalars and distributions/
+ * histograms, collected in a thread-safe process-global registry and
+ * exportable as a flat text or JSON dump.
  *
  * Naming scheme: `layer.component.metric`, e.g.
  * `attack.miner.blocks_scanned` or `engine.latency.ChaCha8.
@@ -96,47 +96,18 @@ class Distribution
 };
 
 /**
- * Events per wall-second: a counter whose dump also reports the
- * elapsed time since the rate was created and the derived rate.
- */
-class Rate
-{
-  public:
-    Rate() : start(std::chrono::steady_clock::now()) {}
-
-    void add(uint64_t n = 1) { events.add(n); }
-
-    uint64_t value() const { return events.value(); }
-
-    /** Wall-clock seconds since creation (or the last reset). */
-    double seconds() const;
-
-    /** Events per wall-second; 0 when no time has elapsed. */
-    double perSecond() const;
-
-    void reset();
-
-  private:
-    Counter events;
-    std::chrono::steady_clock::time_point start;
-};
-
-/**
  * Point-in-time typed copy of one registry entry - the enumeration
  * unit the Prometheus exporter is built on. `value` carries the
- * counter count, the scalar, or the rate's event count; rates
- * additionally fill `per_second` and distributions fill `dist`.
+ * counter count or the scalar; distributions also fill `dist`.
  */
 struct StatSnapshot
 {
-    enum class Type { Counter, Scalar, Rate, Distribution };
+    enum class Type { Counter, Scalar, Distribution };
 
     std::string name;
     std::string desc;
     Type type = Type::Counter;
     double value = 0.0;
-    /** Events per wall-second (Type::Rate only). */
-    double per_second = 0.0;
     /** Accumulated distribution state (Type::Distribution only). */
     DistributionSnapshot dist;
 };
@@ -144,7 +115,7 @@ struct StatSnapshot
 /**
  * The process-global (or test-local) registry of named stats.
  *
- * Lookup returns stable references: a Counter/Distribution/Rate
+ * Lookup returns stable references: a Counter/Distribution
  * obtained once can be cached and used lock-free for the lifetime of
  * the registry (resetForTest() zeroes values but never invalidates
  * references).
@@ -169,9 +140,6 @@ class StatRegistry
                                const std::string &desc = "",
                                std::vector<double> bucket_edges = {});
 
-    /** Find-or-create a rate. */
-    Rate &rate(const std::string &name, const std::string &desc = "");
-
     /**
      * Set a named scalar (an externally computed figure, e.g. a bench
      * result or a derived throughput). Non-finite values are stored
@@ -188,9 +156,6 @@ class StatRegistry
 
     /** Value of a scalar (0 when absent or not a scalar). */
     double scalarValue(const std::string &name) const;
-
-    /** Wall-clock seconds since registry creation / last reset. */
-    double wallSeconds() const;
 
     /**
      * Typed point-in-time copy of every stat, name-sorted (the map
@@ -220,8 +185,7 @@ class StatRegistry
     void writeJsonFile(const std::string &path) const;
 
   private:
-    enum class Kind { CounterKind, DistributionKind, RateKind,
-                      ScalarKind };
+    enum class Kind { CounterKind, DistributionKind, ScalarKind };
 
     struct Entry
     {
@@ -229,7 +193,6 @@ class StatRegistry
         std::string desc;
         Counter counter;
         std::unique_ptr<Distribution> dist;
-        std::unique_ptr<Rate> rate;
         std::atomic<double> scalar{0.0};
     };
 

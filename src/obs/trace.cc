@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "obs/flight.hh"
 #include "obs/fsio.hh"
-#include "obs/perf.hh"
 #include "obs/stats.hh"
 
 namespace coldboot::obs
@@ -72,9 +71,6 @@ struct ShardCacheEntry
  *  make such orphans unreachable. */
 thread_local std::vector<ShardCacheEntry> tl_shard_cache;
 
-/** Process-wide span-perf-attribution switch (see trace.hh). */
-std::atomic<bool> g_span_perf{false};
-
 Counter &
 traceDroppedCounter()
 {
@@ -113,18 +109,6 @@ PhaseTracer::global()
     static const bool disarmed = (instance.setEnabled(false), true);
     (void)disarmed;
     return instance;
-}
-
-void
-PhaseTracer::setSpanPerfEnabled(bool on)
-{
-    g_span_perf.store(on, std::memory_order_relaxed);
-}
-
-bool
-PhaseTracer::spanPerfEnabled()
-{
-    return g_span_perf.load(std::memory_order_relaxed);
 }
 
 double
@@ -289,12 +273,6 @@ PhaseTracer::chromeTraceJson() const
                    "\", \"parent\": \"" + hexId(e.parent) + "\"";
             if (e.flow != 0)
                 out += ", \"flow\": \"" + hexId(e.flow) + "\"";
-            if (e.has_perf)
-                out += ", \"cycles\": " + std::to_string(e.cycles) +
-                       ", \"instructions\": " +
-                       std::to_string(e.instructions) +
-                       ", \"cache_misses\": " +
-                       std::to_string(e.cache_misses);
             out += "}}";
             break;
         }
@@ -374,15 +352,6 @@ ScopedSpan::ScopedSpan(std::string name_, uint64_t parent_span,
 void
 ScopedSpan::begin()
 {
-    if (PhaseTracer::spanPerfEnabled()) {
-        PerfSample s = ThreadPerfCounters::mine().readNow();
-        if (s.available) {
-            perf_live = true;
-            perf_cycles0 = s.cycles;
-            perf_instructions0 = s.instructions;
-            perf_cache_misses0 = s.cache_misses;
-        }
-    }
     if (FlightRecorder *fr = FlightRecorder::instance();
         fr && fr->enabled())
         fr->record(FlightKind::SpanBegin, name.c_str(), span_id,
@@ -415,40 +384,11 @@ ScopedSpan::stop()
     ev.id = span_id;
     ev.parent = parent_id;
     ev.flow = flow_id;
-    if (perf_live) {
-        PerfSample now = ThreadPerfCounters::mine().readNow();
-        if (now.available) {
-            auto sub = [](uint64_t a, uint64_t b) {
-                return a > b ? a - b : 0;
-            };
-            ev.has_perf = true;
-            ev.cycles = sub(now.cycles, perf_cycles0);
-            ev.instructions =
-                sub(now.instructions, perf_instructions0);
-            ev.cache_misses =
-                sub(now.cache_misses, perf_cache_misses0);
-        }
-    }
 
     if (FlightRecorder *fr = FlightRecorder::instance();
         fr && fr->enabled())
         fr->record(FlightKind::SpanEnd, name.c_str(), span_id,
                    static_cast<uint64_t>(dur_us));
-
-    if (ev.has_perf) {
-        StatRegistry &reg = StatRegistry::global();
-        const std::string base = "obs.span." + name;
-        reg.counter(base + ".count", "spans recorded with perf")
-            .add(1);
-        reg.counter(base + ".cycles", "CPU cycles inside this span")
-            .add(ev.cycles);
-        reg.counter(base + ".instructions",
-                    "instructions retired inside this span")
-            .add(ev.instructions);
-        reg.counter(base + ".cache_misses",
-                    "cache misses inside this span")
-            .add(ev.cache_misses);
-    }
 
     // The flow arrow must terminate *inside* this span's slice:
     // stamp the finish at the span midpoint so viewers bind it here

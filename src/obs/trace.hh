@@ -6,9 +6,8 @@
  * Perfetto load directly.
  *
  * Three event kinds are recorded:
- *  - complete spans (`ph: "X"`), each carrying its span id, its
- *    parent span id and (optionally) hardware-counter deltas in the
- *    event `args`;
+ *  - complete spans (`ph: "X"`), each carrying its span id and its
+ *    parent span id in the event `args`;
  *  - flow start / flow finish pairs (`ph: "s"` / `ph: "f"`), which
  *    draw the arrow from the point a task was *submitted* to the
  *    span in which it *ran* - the causality that would otherwise be
@@ -32,13 +31,8 @@
  * ScopedSpan is the usual entry point: construct it at the top of a
  * phase and the span is recorded when it goes out of scope (or when
  * stop() is called, which also returns the duration for derived
- * stats such as throughput). When span-level perf attribution is on
- * (setSpanPerfEnabled / `--profile-spans`), each span additionally
- * carries cycles / instructions / cache-miss deltas read from the
- * calling thread's continuously-running perf counter group, exported
- * both in the trace `args` and as `obs.span.<name>.*` registry
- * counters. ScopedTimer is the registry-side sibling: it samples its
- * elapsed seconds into a Distribution.
+ * stats such as throughput). ScopedTimer is the registry-side
+ * sibling: it samples its elapsed seconds into a Distribution.
  */
 
 #ifndef COLDBOOT_OBS_TRACE_HH
@@ -84,11 +78,6 @@ struct TraceEvent
     uint64_t parent = 0;
     /** Flow id that finishes inside this span; 0 = none. */
     uint64_t flow = 0;
-    /** Whether the perf deltas below are meaningful. */
-    bool has_perf = false;
-    uint64_t cycles = 0;
-    uint64_t instructions = 0;
-    uint64_t cache_misses = 0;
 };
 
 /** Per-thread event shard (see PhaseTracer). The `current_span`
@@ -128,21 +117,12 @@ class PhaseTracer
      * (runtime.hh) or an ObsHttpServer serving /trace - so a
      * long-lived process with no sink does not accumulate spans.
      * Unarmed spans still time themselves and feed the flight
-     * recorder and span perf attribution.
+     * recorder.
      */
     static PhaseTracer &global();
 
     void setEnabled(bool on) { recording = on; }
     bool enabled() const { return recording; }
-
-    /**
-     * Toggle span-level hardware-counter attribution (process-wide):
-     * when on, every ScopedSpan carries cycles / instructions /
-     * cache-miss deltas from the calling thread's perf counter group
-     * (graceful no-op where perf_event_open is unavailable).
-     */
-    static void setSpanPerfEnabled(bool on);
-    static bool spanPerfEnabled();
 
     /** Microseconds since the tracer epoch. */
     double nowUs() const;
@@ -190,8 +170,8 @@ class PhaseTracer
 
     /**
      * Chrome trace_event JSON: a bare array of complete ("X") events
-     * with name/ph/ts/dur/pid/tid fields - span id, parent id, flow
-     * id and perf deltas ride in "args" - plus flow ("s"/"f") events
+     * with name/ph/ts/dur/pid/tid fields - span id, parent id and
+     * flow id ride in "args" - plus flow ("s"/"f") events
      * linking task submission to execution.
      */
     std::string chromeTraceJson() const;
@@ -230,9 +210,8 @@ class PhaseTracer
 /**
  * RAII span: assigns itself an id, links to the thread's current
  * span as parent, becomes the current span for its lifetime, and
- * records a complete trace event (plus optional perf deltas and a
- * flight-recorder begin/end breadcrumb pair) when it goes out of
- * scope.
+ * records a complete trace event (plus a flight-recorder begin/end
+ * breadcrumb pair) when it goes out of scope.
  */
 class ScopedSpan
 {
@@ -283,10 +262,6 @@ class ScopedSpan
     double start_us;
     double dur_us = 0.0;
     bool done = false;
-    bool perf_live = false;
-    uint64_t perf_cycles0 = 0;
-    uint64_t perf_instructions0 = 0;
-    uint64_t perf_cache_misses0 = 0;
 };
 
 /**

@@ -164,18 +164,6 @@ main(int argc, char **argv)
                           wall->find("ci95_hi"),
                       (name ? name->str : "?") +
                           ": wall_ns statistics complete");
-                const Value *counters = b.find("counters");
-                const Value *available =
-                    counters ? counters->find("available") : nullptr;
-                bool counters_ok =
-                    available && available->isBool() &&
-                    (available->boolean ||
-                     (counters->find("reason") &&
-                      !counters->find("reason")->str.empty()));
-                check(counters_ok,
-                      (name ? name->str : "?") +
-                          ": counters available or fallback carries "
-                          "a reason");
                 const Value *rss = b.find("max_rss_kib");
                 check(rss && rss->isNumber() && rss->number > 0,
                       (name ? name->str : "?") + ": max_rss_kib > 0");

@@ -4,7 +4,7 @@
  * flight recorder): build a tiny cold-boot dump in-process, then
  * drive `coldboot-tool` end to end:
  *
- *  - `attack --threads 4 --trace --profile-spans` must emit Chrome
+ *  - `attack --threads 4 --trace` must emit Chrome
  *    trace_event JSON in which every pool task's "exec.task" slice is
  *    linked to its submission site by a flow-start/flow-finish pair
  *    (`ph: "s"` / `ph: "f"`), the finish lands inside the task slice
@@ -18,7 +18,7 @@
  *    breadcrumbs plus a stats snapshot refreshed mid-run;
  *
  *  - the determinism gate: key-recovery output must be byte-identical
- *    with tracing + flight recording + span perf on vs off, at pool
+ *    with tracing + flight recording on vs off, at pool
  *    widths 1 and 4 (DESIGN.md §9/§12 - observation must not perturb
  *    results).
  *
@@ -151,8 +151,7 @@ traceStructureTest(const std::string &tool,
     std::remove(trace_path.c_str());
 
     std::string cmd = "\"" + tool + "\" attack \"" + dump_path +
-                      "\" --threads 4 --trace \"" + trace_path +
-                      "\" --profile-spans";
+                      "\" --threads 4 --trace \"" + trace_path + "\"";
     std::printf("+ %s\n", cmd.c_str());
     std::string output;
     int rc = runCapture(cmd, output);
@@ -237,25 +236,6 @@ traceStructureTest(const std::string &tool,
     }
     check(saw_pipeline, "attack.pipeline phase span recorded");
     check(saw_parallel_for, "exec.parallel_for submit span recorded");
-
-    // Span-perf args are all-or-nothing per event (absent when
-    // perf_event_open is unavailable in the sandbox).
-    bool perf_consistent = true;
-    size_t perf_spans = 0;
-    for (const auto &kv : slice_by_span) {
-        const auto *args = kv.second->find("args");
-        bool c = args->find("cycles") != nullptr;
-        bool i = args->find("instructions") != nullptr;
-        bool m = args->find("cache_misses") != nullptr;
-        if (c != i || c != m)
-            perf_consistent = false;
-        if (c)
-            ++perf_spans;
-    }
-    check(perf_consistent,
-          "perf args are consistent (cycles+instructions+misses)");
-    std::printf("note: %zu/%zu spans carry perf deltas\n", perf_spans,
-                slice_by_span.size());
 }
 
 /** One induced crash; validates the post-mortem JSON it leaves. */
@@ -350,8 +330,7 @@ determinismTest(const std::string &tool, const std::string &dump_path)
                              "\"";
     const std::string obs_on =
         " --trace smoke_flight_det_trace.json"
-        " --flight-record smoke_flight_det_post.json"
-        " --profile-spans";
+        " --flight-record smoke_flight_det_post.json";
     std::vector<Variant> variants = {
         {"threads=1 obs=off", base + " --threads 1"},
         {"threads=1 obs=on", base + " --threads 1" + obs_on},

@@ -8,6 +8,10 @@
  * in-process death tests (test_exec) cannot: cb_fatal must remain a
  * clean user-facing error, not an abort.
  *
+ * Arguments a command does not take - an unknown `--` option, a
+ * number that is not all decimal, one positional too many - must
+ * exit 2 naming the argument, before any work starts.
+ *
  * Usage: smoke_tool_errors <path-to-coldboot-tool>
  */
 
@@ -63,31 +67,34 @@ slurp(const std::string &path)
 }
 
 /**
- * Run `coldboot-tool <cmd> <dump>`; require a normal exit with code
- * 1 (user error) and @p needle somewhere on stderr.
+ * Run `coldboot-tool <args>`; require a normal exit with code
+ * @p want_exit (1 = user error, 2 = usage error) and @p needle
+ * somewhere on stderr. A user error must be one short message; a
+ * usage error goes on to print the usage text.
  */
 void
-expectCleanFailure(const std::string &tool, const std::string &cmd,
-                   const std::string &dump, const std::string &needle,
+expectCleanFailure(const std::string &tool, const std::string &args,
+                   int want_exit, const std::string &needle,
                    const std::string &label)
 {
     const std::string err_path = "smoke_tool_errors_stderr.txt";
-    std::string shell = "\"" + tool + "\" " + cmd + " \"" + dump +
-                        "\" > /dev/null 2> " + err_path;
+    std::string shell = "\"" + tool + "\" " + args + " > /dev/null 2> " +
+                        err_path;
     std::printf("+ %s\n", shell.c_str());
     int status = std::system(shell.c_str());
 
     check(status != -1 && WIFEXITED(status),
           label + ": exits normally (no crash/signal)");
     if (status != -1 && WIFEXITED(status))
-        check(WEXITSTATUS(status) == 1,
-              label + ": exit code 1, got " +
-                  std::to_string(WEXITSTATUS(status)));
+        check(WEXITSTATUS(status) == want_exit,
+              label + ": exit code " + std::to_string(want_exit) +
+                  ", got " + std::to_string(WEXITSTATUS(status)));
     std::string err = slurp(err_path);
     check(err.find(needle) != std::string::npos,
           label + ": stderr mentions '" + needle + "'");
-    check(err.find('\n') != std::string::npos && err.size() < 512,
-          label + ": error is a short clear message");
+    if (want_exit == 1)
+        check(err.find('\n') != std::string::npos && err.size() < 512,
+              label + ": error is a short clear message");
 }
 
 } // anonymous namespace
@@ -112,19 +119,58 @@ main(int argc, char **argv)
     std::remove(missing.c_str());
 
     for (const std::string cmd : {"attack", "mine"}) {
-        expectCleanFailure(tool, cmd, empty, "nonzero multiple",
+        expectCleanFailure(tool, cmd + " " + empty, 1,
+                           "nonzero multiple",
                            cmd + " on zero-length dump");
-        expectCleanFailure(tool, cmd, odd, "multiple of",
+        expectCleanFailure(tool, cmd + " " + odd, 1, "multiple of",
                            cmd + " on non-64-multiple dump");
-        expectCleanFailure(tool, cmd, truncated, "multiple of",
-                           cmd + " on truncated dump");
-        expectCleanFailure(tool, cmd, missing, "open",
+        expectCleanFailure(tool, cmd + " " + truncated, 1,
+                           "multiple of", cmd + " on truncated dump");
+        expectCleanFailure(tool, cmd + " " + missing, 1, "open",
                            cmd + " on missing dump");
     }
 
     // The buffered (--no-mmap) path validates identically.
-    expectCleanFailure(tool, "attack --no-mmap", odd, "multiple of",
+    expectCleanFailure(tool, "attack --no-mmap " + odd, 1,
+                       "multiple of",
                        "attack --no-mmap on non-64-multiple dump");
+
+    // simulate-victim's own switch may follow the two paths directly
+    // (its usage line's `[mib] [seed] [--warm]`), not be read as mib.
+    const std::string victim = "smoke_tool_errors_victim.img";
+    const std::string volume = "smoke_tool_errors_volume.bin";
+    std::remove(victim.c_str());
+    const std::string warm_cmd = "\"" + tool + "\" simulate-victim " +
+                                 victim + " " + volume +
+                                 " --warm > /dev/null";
+    std::printf("+ %s\n", warm_cmd.c_str());
+    check(std::system(warm_cmd.c_str()) == 0,
+          "simulate-victim <dump> <volume> --warm exits 0");
+    check(slurp(victim).size() == 4u << 20,
+          "simulate-victim --warm writes a 4 MiB dump");
+
+    // Arguments a command does not take: exit 2, argument named.
+    const std::string paths = victim + " " + volume;
+    const struct
+    {
+        std::string args;
+        std::string needle;
+    } rejected[] = {
+        {"attack " + victim + " --bogus", "unknown option '--bogus'"},
+        {"attack " + victim + " extra", "unknown option 'extra'"},
+        {"mine " + victim + " notanumber", "bad top_n 'notanumber'"},
+        {"mine " + victim + " 10x", "bad top_n '10x'"},
+        {"simulate-victim " + paths + " --bogus",
+         "unknown option '--bogus'"},
+        {"simulate-victim " + paths + " 0", "bad mib '0'"},
+        {"simulate-victim " + paths + " 4 -1", "bad seed '-1'"},
+        {"simulate-victim " + paths + " 4 1 extra",
+         "unknown option 'extra'"},
+        {"decrypt " + volume + " 00 00 three", "bad sector 'three'"},
+        {"crash-test " + victim + " segv", "unknown option 'segv'"},
+    };
+    for (const auto &r : rejected)
+        expectCleanFailure(tool, r.args, 2, r.needle, r.args);
 
     if (failures) {
         std::fprintf(stderr, "%d check(s) failed\n", failures);

@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the benchmark harness statistics kernel, the
- * perf_event_open fallback path, the BENCH.json emitter, and the
- * logging runtime configuration.
+ * BENCH.json emitter, and the logging runtime configuration.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "common/logging.hh"
 #include "obs/bench.hh"
 #include "obs/json.hh"
-#include "obs/perf.hh"
 
 using namespace coldboot;
 using namespace coldboot::obs::bench;
@@ -106,23 +104,6 @@ TEST(BenchStats, ZeroResamplesDisablesCi)
 }
 
 //
-// Perf counter fallback
-//
-
-TEST(PerfCounters, DisableEnvForcesFallback)
-{
-    setenv("COLDBOOT_PERF_DISABLE", "1", 1);
-    obs::PerfCounters counters;
-    unsetenv("COLDBOOT_PERF_DISABLE");
-    EXPECT_FALSE(counters.available());
-    EXPECT_FALSE(counters.unavailableReason().empty());
-    // start/stop must still be safe to call.
-    counters.start();
-    obs::PerfSample sample = counters.stop();
-    EXPECT_FALSE(sample.available);
-}
-
-//
 // Harness + BENCH.json emitter
 //
 
@@ -144,26 +125,18 @@ trivialBench(BenchContext &ctx)
 
 TEST(BenchHarness, RunBenchAndEmitJson)
 {
-    // Force the portable fallback so the "counters unavailable" JSON
-    // shape is covered deterministically even where perf_event_open
-    // works.
-    setenv("COLDBOOT_PERF_DISABLE", "1", 1);
-
     BenchInfo info{"trivial", &trivialBench};
     RunConfig config;
     config.repetitions = 3;
     config.warmup = 1;
     config.quiet = true;
     BenchResult result = runBench(info, config);
-    unsetenv("COLDBOOT_PERF_DISABLE");
 
     EXPECT_EQ(result.name, "trivial");
     EXPECT_EQ(result.wall_ns.n, 3u);
     EXPECT_GT(result.wall_ns.median, 0.0);
     EXPECT_GT(result.bytes_per_second, 0.0);
     EXPECT_GT(result.items_per_second, 0.0);
-    EXPECT_FALSE(result.counters.available);
-    EXPECT_FALSE(result.counters_unavailable_reason.empty());
     EXPECT_GT(result.max_rss_kib, 0u);
     ASSERT_EQ(result.reports.count("trivial.answer"), 1u);
     EXPECT_DOUBLE_EQ(result.reports.at("trivial.answer").value,
@@ -196,17 +169,6 @@ TEST(BenchHarness, RunBenchAndEmitJson)
     for (const char *key : {"n", "min", "max", "mean", "stddev",
                             "median", "mad", "ci95_lo", "ci95_hi"})
         EXPECT_NE(wall->find(key), nullptr) << key;
-
-    // The fallback must be explicit in the document, with a reason.
-    const auto *counters = bench.find("counters");
-    ASSERT_NE(counters, nullptr);
-    const auto *available = counters->find("available");
-    ASSERT_NE(available, nullptr);
-    EXPECT_TRUE(available->isBool());
-    EXPECT_FALSE(available->boolean);
-    const auto *reason = counters->find("reason");
-    ASSERT_NE(reason, nullptr);
-    EXPECT_FALSE(reason->str.empty());
 
     const auto *reports = bench.find("reports");
     ASSERT_NE(reports, nullptr);

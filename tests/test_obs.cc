@@ -96,16 +96,6 @@ TEST(Distribution, ResetClearsEverything)
     EXPECT_EQ(s.bucket_counts[1], 0u);
 }
 
-TEST(Rate, CountsEvents)
-{
-    Rate r;
-    r.add(10);
-    r.add(5);
-    EXPECT_EQ(r.value(), 15u);
-    EXPECT_GE(r.seconds(), 0.0);
-    EXPECT_GE(r.perSecond(), 0.0);
-}
-
 TEST(Registry, SameNameReturnsSameInstance)
 {
     StatRegistry reg;
@@ -175,7 +165,6 @@ TEST(Registry, JsonRoundTrip)
         reg.distribution("engine.test.lat_ns", "ns", {0.0, 12.5});
     d.sample(5.0);
     d.sample(20.0);
-    reg.rate("attack.test.runs").add(2);
     reg.setScalar("bench.test.figure", 1.5);
 
     auto doc = json::parse(reg.dumpJson());
@@ -208,12 +197,6 @@ TEST(Registry, JsonRoundTrip)
                      1.0);
     EXPECT_DOUBLE_EQ(dd->find("bucket_counts")->array[2].number,
                      1.0);
-
-    const auto *r = stats->find("attack.test.runs");
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->find("type")->str, "rate");
-    EXPECT_DOUBLE_EQ(r->find("value")->number, 2.0);
-    ASSERT_NE(r->find("per_second"), nullptr);
 
     const auto *s = stats->find("bench.test.figure");
     ASSERT_NE(s, nullptr);

@@ -74,7 +74,7 @@ counterSnap(const std::string &name, double v,
 
 } // anonymous namespace
 
-TEST(PrometheusExport, RendersCounterGaugeRate)
+TEST(PrometheusExport, RendersCounterAndGauge)
 {
     std::vector<StatSnapshot> stats;
     stats.push_back(counterSnap("a.count", 7, "a counter"));
@@ -83,12 +83,6 @@ TEST(PrometheusExport, RendersCounterGaugeRate)
     sc.type = StatSnapshot::Type::Scalar;
     sc.value = 1.5;
     stats.push_back(sc);
-    StatSnapshot r;
-    r.name = "c.rate";
-    r.type = StatSnapshot::Type::Rate;
-    r.value = 100;
-    r.per_second = 42.5;
-    stats.push_back(r);
 
     std::string text = renderPrometheusText(stats);
     EXPECT_NE(text.find("# HELP a_count a counter\n"),
@@ -97,10 +91,6 @@ TEST(PrometheusExport, RendersCounterGaugeRate)
               std::string::npos);
     EXPECT_NE(text.find("\na_count 7\n"), std::string::npos);
     EXPECT_NE(text.find("# TYPE b_gauge gauge\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE c_rate counter\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("c_rate_per_second 42.5\n"),
               std::string::npos);
 
     std::string error;
@@ -367,8 +357,8 @@ tempPath(const std::string &name)
 
 TEST(ObsRuntime, StripsSharedFlagsAnywhere)
 {
-    Argv args({"prog", "--trace", "t.json", "attack",
-               "--profile-spans", "d.img", "--threads", "4",
+    Argv args({"prog", "--trace", "t.json", "attack", "d.img",
+               "--threads", "4",
                "--stats-json", "s.json", "--serve-obs", "0", "tail",
                "--flight-record", "f.json"});
     Runtime runtime(args.argc, args.ptrs.data());
@@ -396,13 +386,11 @@ TEST(ObsRuntime, OnlyFlagsArmTheSinks)
     // is the process's first use of the global tracer (ctest runs
     // each test alone, and no earlier test in this file touches it).
     const std::vector<std::string> retired = {
-        "STATS_JSON", "TRACE", "PROFILE_SPANS", "FLIGHT_RECORD",
-        "SERVE_OBS"};
+        "STATS_JSON", "TRACE", "FLIGHT_RECORD", "SERVE_OBS"};
     for (const auto &name : retired)
         ::setenv(("COLDBOOT_" + name).c_str(), "1", 1);
     PhaseTracer &tracer = PhaseTracer::global();
     EXPECT_FALSE(tracer.enabled());
-    EXPECT_FALSE(PhaseTracer::spanPerfEnabled());
 
     const std::string stats_path = tempPath("runtime_stats");
     {

@@ -20,6 +20,8 @@
  *   coldboot-tool decrypt /tmp/vol.bin <data_key_hex> <tweak_key_hex> 3
  */
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -102,19 +104,56 @@ peakRssKib()
 /** Dump-streaming backend selected by --no-mmap. */
 exec::DumpBackend g_dump_backend = exec::DumpBackend::Auto;
 
-int
-cmdSimulateVictim(int argc, char **argv)
+/** A command's arguments, once the global flags are stripped. */
+using Args = std::vector<std::string>;
+
+/**
+ * Whether @p args fit a usage line of @p min to @p max positionals
+ * and no `--` option. The first argument that does not fit is named
+ * as an unknown option.
+ */
+bool
+fitsUsage(const Args &args, size_t min, size_t max)
 {
-    if (argc < 2)
+    for (size_t i = 0; i < args.size(); ++i) {
+        if (args[i].rfind("--", 0) == 0 || i == max) {
+            std::fprintf(stderr, "unknown option '%s'\n",
+                         args[i].c_str());
+            return false;
+        }
+    }
+    return args.size() >= min;
+}
+
+/** Parse all of @p text as an unsigned decimal of at least @p min
+ *  into @p out; otherwise name the bad @p what. */
+bool
+parseDecimal(const char *what, const std::string &text, uint64_t &out,
+             uint64_t min = 0)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    if (ec == std::errc() && ptr == end && out >= min)
+        return true;
+    std::fprintf(stderr, "bad %s '%s'\n", what, text.c_str());
+    return false;
+}
+
+int
+cmdSimulateVictim(Args args)
+{
+    auto warm_at = std::find(args.begin(), args.end(), "--warm");
+    const bool warm = warm_at != args.end();
+    if (warm)
+        args.erase(warm_at);
+    uint64_t mib = 4;
+    uint64_t seed = 20260705;
+    if (!fitsUsage(args, 2, 4) ||
+        (args.size() > 2 && !parseDecimal("mib", args[2], mib, 1)) ||
+        (args.size() > 3 && !parseDecimal("seed", args[3], seed)))
         return usage();
-    std::string dump_path = argv[0];
-    std::string volume_path = argv[1];
-    uint64_t mib = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 4;
-    uint64_t seed =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 20260705;
-    bool warm = false;
-    for (int i = 2; i < argc; ++i)
-        warm = warm || std::string(argv[i]) == "--warm";
+    const std::string &dump_path = args[0];
+    const std::string &volume_path = args[1];
 
     Machine victim(cpuModelByName("i5-6400"), BiosConfig{}, 1, seed);
     victim.installDimm(0, std::make_shared<dram::DramModule>(
@@ -161,14 +200,14 @@ cmdSimulateVictim(int argc, char **argv)
 }
 
 int
-cmdAttack(int argc, char **argv)
+cmdAttack(Args args)
 {
-    if (argc < 1)
+    if (!fitsUsage(args, 1, 1))
         return usage();
     // Stream the dump instead of copying it into memory: mmap when
     // possible, buffered pread otherwise. On a multi-GiB capture the
     // old loadRaw() path doubled the peak RSS.
-    auto dump = exec::openDumpSource(argv[0], g_dump_backend);
+    auto dump = exec::openDumpSource(args[0], g_dump_backend);
     auto report = attack::runColdBootAttack(*dump);
     std::printf("mined %zu candidate keys; recovered %zu AES table(s);"
                 " %zu XTS pair(s); %.2f MiB/s (%s dump, peak RSS "
@@ -192,13 +231,13 @@ cmdAttack(int argc, char **argv)
 }
 
 int
-cmdMine(int argc, char **argv)
+cmdMine(Args args)
 {
-    if (argc < 1)
+    uint64_t top_n = 10;
+    if (!fitsUsage(args, 1, 2) ||
+        (args.size() > 1 && !parseDecimal("top_n", args[1], top_n)))
         return usage();
-    auto dump = exec::openDumpSource(argv[0], g_dump_backend);
-    size_t top_n =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10;
+    auto dump = exec::openDumpSource(args[0], g_dump_backend);
 
     attack::MinerStats stats;
     auto mined = attack::mineScramblerKeys(*dump, {}, &stats);
@@ -217,15 +256,15 @@ cmdMine(int argc, char **argv)
 }
 
 int
-cmdDescramble(int argc, char **argv)
+cmdDescramble(Args args)
 {
-    if (argc < 2)
+    if (!fitsUsage(args, 2, 2))
         return usage();
-    auto dump = exec::openDumpSource(argv[0], g_dump_backend);
+    auto dump = exec::openDumpSource(args[0], g_dump_backend);
     // Same session object the analysis service drives, run to
     // completion in-line - so service descramble results (image
     // bytes, digest, rendering) are byte-identical to this command.
-    attack::DescrambleSession session(*dump, argv[1]);
+    attack::DescrambleSession session(*dump, args[1]);
     try {
         session.runToCompletion();
     } catch (const std::exception &e) {
@@ -249,14 +288,15 @@ cmdDescramble(int argc, char **argv)
  * process dies with the original signal.
  */
 int
-cmdCrashTest(int argc, char **argv)
+cmdCrashTest(Args args)
 {
-    if (argc < 1)
+    const bool use_abort = args.size() == 2 && args[1] == "abort";
+    if (use_abort)
+        args.pop_back();
+    if (!fitsUsage(args, 1, 1))
         return usage();
-    int sig = SIGSEGV;
-    if (argc > 1 && std::string(argv[1]) == "abort")
-        sig = SIGABRT;
-    auto dump = exec::openDumpSource(argv[0], g_dump_backend);
+    const int sig = use_abort ? SIGABRT : SIGSEGV;
+    auto dump = exec::openDumpSource(args[0], g_dump_backend);
     exec::ThreadPool::TaskGroup group(exec::ThreadPool::global());
     group.run([&] {
         obs::ScopedSpan span("crash_test.mine");
@@ -274,11 +314,11 @@ cmdCrashTest(int argc, char **argv)
 }
 
 int
-cmdInfo(int argc, char **argv)
+cmdInfo(Args args)
 {
-    if (argc < 1)
+    if (!fitsUsage(args, 1, 1))
         return usage();
-    MemoryImage dump = MemoryImage::loadRaw(argv[0]);
+    MemoryImage dump = MemoryImage::loadRaw(args[0]);
     std::printf("size            : %zu bytes (%zu lines)\n",
                 dump.size(), dump.lines());
     std::printf("ones fraction   : %.4f\n", dump.onesFraction());
@@ -287,24 +327,25 @@ cmdInfo(int argc, char **argv)
 }
 
 int
-cmdDecrypt(int argc, char **argv)
+cmdDecrypt(Args args)
 {
-    if (argc < 4)
+    uint64_t sector = 0;
+    if (!fitsUsage(args, 4, 4) ||
+        !parseDecimal("sector", args[3], sector))
         return usage();
-    std::FILE *f = std::fopen(argv[0], "rb");
+    std::FILE *f = std::fopen(args[0].c_str(), "rb");
     if (!f)
-        cb_fatal("cannot open '%s'", argv[0]);
+        cb_fatal("cannot open '%s'", args[0].c_str());
     std::fseek(f, 0, SEEK_END);
     long size = std::ftell(f);
     std::fseek(f, 0, SEEK_SET);
     std::vector<uint8_t> blob(static_cast<size_t>(size));
     if (std::fread(blob.data(), 1, blob.size(), f) != blob.size())
-        cb_fatal("short read from '%s'", argv[0]);
+        cb_fatal("short read from '%s'", args[0].c_str());
     std::fclose(f);
 
-    auto data_key = fromHex(argv[1]);
-    auto tweak_key = fromHex(argv[2]);
-    uint64_t sector = std::strtoull(argv[3], nullptr, 10);
+    auto data_key = fromHex(args[1]);
+    auto tweak_key = fromHex(args[2]);
     if (data_key.size() != 32 || tweak_key.size() != 32)
         cb_fatal("keys must be 32 bytes of hex each");
 
@@ -333,8 +374,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s\n", runtime.error().c_str());
         return usage();
     }
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
+    Args args;
+    for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--threads") {
             if (i + 1 >= argc) {
@@ -381,7 +422,7 @@ main(int argc, char **argv)
         args.push_back(argv[i]);
     }
 
-    const std::map<std::string, int (*)(int, char **)> commands = {
+    const std::map<std::string, int (*)(Args)> commands = {
         {"simulate-victim", cmdSimulateVictim},
         {"attack", cmdAttack},
         {"mine", cmdMine},
@@ -390,14 +431,12 @@ main(int argc, char **argv)
         {"decrypt", cmdDecrypt},
         {"crash-test", cmdCrashTest},
     };
-    auto cmd =
-        args.size() < 2 ? commands.end() : commands.find(args[1]);
+    auto cmd = args.empty() ? commands.end() : commands.find(args[0]);
     if (cmd == commands.end())
         return usage();
 
     runtime.start(obs::Runtime::OnSignal::FlushAndExit);
-    int rc = cmd->second(static_cast<int>(args.size()) - 2,
-                         args.data() + 2);
+    int rc = cmd->second(Args(args.begin() + 1, args.end()));
     runtime.finish();
     runtime.linger();
     return rc;
