@@ -15,7 +15,8 @@
  *
  * The quantitative proxy for "visible correlations" is the number of
  * duplicate 64-byte line pairs: structure in the source survives
- * scrambling when many lines share a scrambler key.
+ * scrambling when many lines share a scrambler key. The shape is
+ * gated (BenchContext::check) in both profiles.
  * PGM renders are written to /tmp/coldboot_fig3_*.pgm (full profile
  * only; the smoke profile skips the file writes).
  */
@@ -94,19 +95,22 @@ captureFor(const char *cpu_name, const MemoryImage &src, uint64_t seed)
     return cap;
 }
 
-void
+/** Print and report one image's duplicate line pairs; returns them. */
+size_t
 report(obs::bench::BenchContext &ctx, const char *label,
        const char *key, const MemoryImage &img, const char *path,
        bool save)
 {
     if (save)
         img.savePgm(path, imageWidth);
+    const size_t dups = img.duplicateLinePairs();
     std::printf("%-28s dup-line-pairs=%-10zu ones=%.3f  -> %s\n",
-                label, img.duplicateLinePairs(), img.onesFraction(),
+                label, dups, img.onesFraction(),
                 save ? path : "(not saved)");
     ctx.report(std::string("fig3.") + key + ".dup_line_pairs",
-               static_cast<double>(img.duplicateLinePairs()),
+               static_cast<double>(dups),
                "duplicate 64-byte line pairs (structure proxy)");
+    return dups;
 }
 
 } // anonymous namespace
@@ -118,26 +122,40 @@ COLDBOOT_BENCH(fig3_visual)
     const uint64_t image_bytes = ctx.pick(MiB(1), KiB(256));
     const bool save = !ctx.smoke();
     MemoryImage src = makeSourceImage(image_bytes);
-    report(ctx, "(a) original", "a_original", src,
-           "/tmp/coldboot_fig3_a_original.pgm", save);
+    const size_t a = report(ctx, "(a) original", "a_original", src,
+                            "/tmp/coldboot_fig3_a_original.pgm", save);
 
     Capture ddr3 = captureFor("i5-2540M", src, 1111);
-    report(ctx, "(b) DDR3 scrambled", "b_ddr3", ddr3.scrambled,
-           "/tmp/coldboot_fig3_b_ddr3.pgm", save);
-    report(ctx, "(c) DDR3 reread after boot", "c_ddr3_reboot",
-           ddr3.reread, "/tmp/coldboot_fig3_c_ddr3_reboot.pgm", save);
+    const size_t b =
+        report(ctx, "(b) DDR3 scrambled", "b_ddr3", ddr3.scrambled,
+               "/tmp/coldboot_fig3_b_ddr3.pgm", save);
+    const size_t c =
+        report(ctx, "(c) DDR3 reread after boot", "c_ddr3_reboot",
+               ddr3.reread, "/tmp/coldboot_fig3_c_ddr3_reboot.pgm", save);
 
     Capture ddr4 = captureFor("i5-6400", src, 2222);
-    report(ctx, "(d) DDR4 scrambled", "d_ddr4", ddr4.scrambled,
-           "/tmp/coldboot_fig3_d_ddr4.pgm", save);
-    report(ctx, "(e) DDR4 reread after boot", "e_ddr4_reboot",
-           ddr4.reread, "/tmp/coldboot_fig3_e_ddr4_reboot.pgm", save);
+    const size_t d =
+        report(ctx, "(d) DDR4 scrambled", "d_ddr4", ddr4.scrambled,
+               "/tmp/coldboot_fig3_d_ddr4.pgm", save);
+    const size_t e =
+        report(ctx, "(e) DDR4 reread after boot", "e_ddr4_reboot",
+               ddr4.reread, "/tmp/coldboot_fig3_e_ddr4_reboot.pgm", save);
 
     ctx.setBytesProcessed(5 * image_bytes);
+    // The universal key keeps every duplicate of the source, DDR3's
+    // 16-key pool keeps some, and DDR4's 4,096 keys keep at most
+    // 1/256 of DDR3's.
+    ctx.check(c == a, "(c) DDR3 reread does not keep exactly the "
+                      "source's duplicate lines");
+    ctx.check(b > 0, "(b) DDR3 scrambled keeps no duplicate lines");
+    ctx.check(256 * d <= b, "(d) DDR4 scrambled keeps more than 1/256 "
+                            "of (b)'s duplicate lines");
+    ctx.check(256 * e <= b, "(e) DDR4 reread keeps more than 1/256 of "
+                            "(b)'s duplicate lines");
     std::printf(
-        "\nExpected shape: (a) huge duplicate count (structured"
-        " source);\n(b) large (16-key DDR3 pool preserves repeats);"
-        " (c) large (universal key\nfactoring keeps all structure);"
-        " (d) ~256x smaller than (b) (4096-key pool);\n(e) small"
+        "\nExpected shape (gated): (a) huge duplicate count (structured"
+        " source);\n(b) > 0 (16-key DDR3 pool preserves repeats);"
+        " (c) == (a) (universal key\nfactoring keeps all structure);"
+        " (d) <= (b)/256 (4096-key pool);\n(e) <= (b)/256"
         " (no universal key on DDR4).\n");
 }

@@ -23,9 +23,7 @@ namespace coldboot::attack
 namespace
 {
 
-using crypto::aesExpandKey;
 using crypto::aesNk;
-using crypto::aesScheduleBackward;
 using crypto::aesScheduleBytes;
 using crypto::aesScheduleStep;
 using crypto::aesWordFromBytes;
@@ -66,29 +64,9 @@ descramble(std::span<const uint8_t> raw,
     simd::xorInto(out, raw.data(), key.data(), 64);
 }
 
-/**
- * The keys tried on the block at a dump offset: the address → key
- * map's prediction, or the whole pool where it has none.
- */
-class KeyRoutes
-{
-  public:
-    KeyRoutes(const KeyMap &map, size_t nkeys) : map(map), pool(nkeys)
-    {
-        std::iota(pool.begin(), pool.end(), 0u);
-    }
-
-    std::span<const uint32_t>
-    at(uint64_t offset) const
-    {
-        auto keys = map.keysFor(offset / 64);
-        return keys.empty() ? std::span<const uint32_t>(pool) : keys;
-    }
-
-  private:
-    const KeyMap &map;
-    std::vector<uint32_t> pool;
-};
+/** Words of the longest (AES-256) key schedule. */
+constexpr unsigned kScheduleWords = static_cast<unsigned>(
+    aesScheduleBytes(crypto::AesKeySize::Aes256) / 4);
 
 /**
  * Pick the key among @p tried making a full in-table block most
@@ -123,6 +101,8 @@ bestKeyForFullBlock(std::span<const uint8_t> raw,
                 break;
         }
     }
+    secureWipe(plain, sizeof(plain));
+    secureWipe(words, sizeof(words));
     return best;
 }
 
@@ -172,31 +152,39 @@ class LinearScreen
     }
 
     /**
-     * Indices of the keys that may pass the litmus on the block whose
-     * raw words are @p raw, ascending: of the keys in @p among, or of
-     * every key when it is empty. @p scratch is the caller's reusable
-     * storage; the span points into it.
+     * The keys of @p keys (ascending indices) that may pass the litmus
+     * on the block whose raw words are @p raw, ascending. @p scratch
+     * is the caller's reusable storage; the span points into it.
      */
     std::span<const uint32_t>
-    survivors(const uint32_t raw[16], std::span<const uint32_t> among,
+    survivors(const uint32_t raw[16], std::span<const uint32_t> keys,
               std::vector<uint32_t> &scratch) const
     {
-        if (!among.empty())
-            return survivorsAmong(raw, among, scratch);
-        // Three segments: the union so far, one class's passes, and
-        // the merge target (swapped with the union after each class).
-        scratch.resize(3 * nkeys);
+        if (keys.empty())
+            return {};
+        uint32_t block_syn[3][16]; // at most three classes (AES-192)
+        for (size_t c = 0; c < classes.size(); ++c)
+            blockSyndromes(classes[c], raw, block_syn[c]);
+        if (keys.size() < nkeys)
+            return survivorsAmong(block_syn, keys, scratch);
+        // The whole pool (distinct indices below nkeys, so all of
+        // them): the first class writes its passes as the union so
+        // far; with more classes, each next one's passes are merged
+        // into a third segment, swapped with the union after each.
+        scratch.resize(classes.size() == 1 ? nkeys : 3 * nkeys);
         uint32_t *acc = scratch.data();
         uint32_t *pass = acc + nkeys;
         uint32_t *merged = pass + nkeys;
         size_t n = 0;
-        for (const Class &cls : classes) {
-            uint32_t block_syn[16];
-            blockSyndromes(cls, raw, block_syn);
+        for (size_t c = 0; c < classes.size(); ++c) {
             size_t got = simd::syndromeScreen(
-                block_syn, cls.key_rows.data(), nkeys, nkeys,
-                static_cast<unsigned>(cls.positions.size()),
-                max_per_check, max_total, pass);
+                block_syn[c], classes[c].key_rows.data(), nkeys, nkeys,
+                static_cast<unsigned>(classes[c].positions.size()),
+                max_per_check, max_total, c == 0 ? acc : pass);
+            if (c == 0) {
+                n = got;
+                continue;
+            }
             n = static_cast<size_t>(
                 std::set_union(acc, acc + n, pass, pass + got, merged) -
                 merged);
@@ -206,23 +194,22 @@ class LinearScreen
     }
 
   private:
-    /** The keys of @p among passing any class, screened one key at a
+    /** The keys of @p keys passing any class, screened one key at a
      *  time by the same kernel (a column of the class's rows). */
     std::span<const uint32_t>
-    survivorsAmong(const uint32_t raw[16],
-                   std::span<const uint32_t> among,
+    survivorsAmong(const uint32_t (&block_syn)[3][16],
+                   std::span<const uint32_t> keys,
                    std::vector<uint32_t> &scratch) const
     {
-        scratch.resize(among.size());
+        scratch.resize(keys.size());
         size_t n = 0;
-        for (uint32_t k : among) {
-            for (const Class &cls : classes) {
-                uint32_t block_syn[16];
+        for (uint32_t k : keys) {
+            for (size_t c = 0; c < classes.size(); ++c) {
                 uint32_t pass;
-                blockSyndromes(cls, raw, block_syn);
                 if (simd::syndromeScreen(
-                        block_syn, cls.key_rows.data() + k, nkeys, 1,
-                        static_cast<unsigned>(cls.positions.size()),
+                        block_syn[c], classes[c].key_rows.data() + k,
+                        nkeys, 1,
+                        static_cast<unsigned>(classes[c].positions.size()),
                         max_per_check, max_total, &pass) != 0) {
                     scratch[n++] = k;
                     break;
@@ -301,20 +288,22 @@ repairAesScheduleWords(std::span<uint32_t> words, unsigned first_word,
     // decay rates of a cooled transfer this converges in a handful of
     // sweeps; a final word-level forward/backward agreement pass then
     // cleans up what the bit-level pass cannot see.
-    size_t n = words.size();
+    const size_t n = words.size();
+    cb_assert(n <= kScheduleWords,
+              "repairAesScheduleWords: %zu words, a schedule has at "
+              "most %u", n, kScheduleWords);
+    // f applied to each word by the step that consumes it as "prev"
+    // (the step at index a+1), and each sweep's flips; wiped on exit.
+    uint32_t f_of[kScheduleWords];
+    uint32_t flips[kScheduleWords];
     unsigned total_fixed = 0;
 
     for (unsigned sweep = 0; sweep < iterations; ++sweep) {
-        // f applied to each word by the step that consumes it as
-        // "prev" (the step at index a+1).
-        std::vector<uint32_t> f_of(n);
         for (size_t i = 0; i < n; ++i)
             f_of[i] = aesScheduleStep(
                 words[i], 0,
                 first_word + static_cast<unsigned>(i) + 1, nk);
 
-        unsigned fixed_bits = 0;
-        std::vector<uint32_t> flips(n, 0);
         for (size_t i = 0; i < n; ++i) {
             unsigned a = first_word + static_cast<unsigned>(i);
             uint32_t viol[3];
@@ -335,27 +324,26 @@ repairAesScheduleWords(std::span<uint32_t> words, unsigned first_word,
                 viol[nchecks++] =
                     words[i + 1] ^ words[i + 1 - nk] ^ words[i];
             }
-            if (nchecks < 2)
-                continue;
-            for (unsigned j = 0; j < 32; ++j) {
-                int violated = 0;
-                for (int c = 0; c < nchecks; ++c)
-                    violated += (viol[c] >> j) & 1;
-                if (violated >= 2)
-                    flips[i] |= 1u << j;
-            }
+            // A bit flips when at least two of its checks are
+            // violated: the bitwise majority of three check words,
+            // or both of two.
+            if (nchecks == 3)
+                flips[i] = (viol[0] & viol[1]) | (viol[0] & viol[2]) |
+                           (viol[1] & viol[2]);
+            else
+                flips[i] = nchecks == 2 ? viol[0] & viol[1] : 0;
         }
+        unsigned fixed_bits = 0;
         for (size_t i = 0; i < n; ++i) {
-            if (flips[i]) {
-                words[i] ^= flips[i];
-                fixed_bits += static_cast<unsigned>(
-                    std::popcount(flips[i]));
-            }
+            words[i] ^= flips[i];
+            fixed_bits += static_cast<unsigned>(std::popcount(flips[i]));
         }
         total_fixed += fixed_bits;
         if (fixed_bits == 0)
             break;
     }
+    secureWipe(f_of, sizeof(f_of));
+    secureWipe(flips, sizeof(flips));
 
     // Phase 2: word-level forward/backward agreement for words
     // adjacent to the nonlinear (SubWord) steps.
@@ -386,20 +374,69 @@ repairAesScheduleWords(std::span<uint32_t> words, unsigned first_word,
     return total_fixed;
 }
 
+unsigned
+bestAesScheduleFromWindows(std::span<const uint32_t> observed,
+                           unsigned first_word, unsigned nk,
+                           std::span<uint32_t> schedule)
+{
+    const size_t n = observed.size();
+    const auto total = static_cast<unsigned>(schedule.size());
+    cb_assert(total <= kScheduleWords && first_word + n <= total,
+              "bestAesScheduleFromWindows: words %u..%zu outside a "
+              "%u-word schedule", first_word, first_word + n, total);
+    // One schedule buffer for every window, wiped on exit.
+    uint32_t full[kScheduleWords];
+    unsigned best_dist = ~0u;
+    for (size_t s = 0; s + nk <= n; ++s) {
+        const unsigned abs_s = first_word + static_cast<unsigned>(s);
+        // When window s's last word continues window s - 1, both hold
+        // words of one schedule, which each seeds: the same distance,
+        // never strictly better.
+        if (s > 0 && observed[s + nk - 1] ==
+                         aesScheduleStep(observed[s + nk - 2],
+                                         observed[s - 1],
+                                         abs_s + nk - 1, nk))
+            continue;
+        // The window, then backward to word 0 and forward to the end.
+        std::copy_n(&observed[s], nk, full + abs_s);
+        for (unsigned j = abs_s; j-- > 0;)
+            full[j] = full[j + nk] ^
+                      aesScheduleStep(full[j + nk - 1], 0, j + nk, nk);
+        for (unsigned i = abs_s + nk; i < total; ++i)
+            full[i] = aesScheduleStep(full[i - 1], full[i - nk], i, nk);
+
+        unsigned dist = 0;
+        for (size_t i = 0; i < n; ++i) {
+            dist += static_cast<unsigned>(
+                std::popcount(full[first_word + i] ^ observed[i]));
+            if (dist >= best_dist)
+                break;
+        }
+        if (dist < best_dist) {
+            best_dist = dist;
+            std::copy_n(full, total, schedule.begin());
+            if (dist == 0)
+                break;
+        }
+    }
+    secureWipe(full, sizeof(full));
+    return best_dist;
+}
+
 namespace
 {
 
 /**
  * Attempt a full reconstruction of the schedule whose word 0 lies at
  * dump byte offset @p table_off, returning the recovered key if it
- * verifies. Each block is descrambled only with its routed keys.
+ * verifies. Each block is descrambled only with the keys @p map
+ * gives its line, so a keyless block assembles and verifies nothing.
  */
 std::optional<RecoveredAesKey>
 reconstructAt(const exec::DumpSource &dump,
-              const std::vector<MinedKey> &keys,
-              const KeyRoutes &routes, uint64_t table_off,
-              const SearchParams &params, SearchStats &stats,
-              exec::ChunkBuffer &buf)
+              const std::vector<MinedKey> &keys, const KeyMap &map,
+              uint64_t table_off, const SearchParams &params,
+              SearchStats &stats, exec::ChunkBuffer &buf)
 {
     unsigned nk = aesNk(params.key_size);
     unsigned sched_bytes =
@@ -412,97 +449,80 @@ reconstructAt(const exec::DumpSource &dump,
 
     ++stats.reconstructions_tried;
 
-    // Gather the fully-in-table 64-byte blocks.
+    // This attempt's key material - the descrambled words, the chosen
+    // schedule, its bytes and each verified block - is wiped on every
+    // way out.
+    struct Scratch
+    {
+        uint32_t observed[kScheduleWords];
+        uint32_t schedule[kScheduleWords];
+        uint8_t expanded[4 * kScheduleWords];
+        uint8_t plain[64];
+
+        ~Scratch() { secureWipe(this, sizeof(*this)); }
+    } w;
+
+    // Gather the fully-in-table 64-byte blocks (at most three).
     uint64_t first_full = (table_off + 63) & ~63ULL;
-    std::vector<uint32_t> observed;
+    size_t n_observed = 0;
     int64_t obs_first_word = -1;
-    bool assembly_ok = true;
     for (uint64_t b = first_full; b + 64 <= table_off + sched_bytes;
          b += 64) {
         unsigned p = static_cast<unsigned>((b - table_off) / 4);
-        uint32_t words[16];
         unsigned errors = 0;
-        auto tried = routes.at(b);
+        auto tried = map.keysFor(b / 64);
         size_t k = bestKeyForFullBlock(dump.chunk(b, 64, buf), keys,
-                                       tried, p, nk, total_words, words,
-                                       errors);
+                                       tried, p, nk, total_words,
+                                       &w.observed[n_observed], errors);
         stats.descramble_attempts += tried.size();
-        if (k == SIZE_MAX || errors > 4 * params.litmus_max_bit_errors) {
-            assembly_ok = false;
-            break;
-        }
+        if (k == SIZE_MAX || errors > 4 * params.litmus_max_bit_errors)
+            return std::nullopt;
         if (obs_first_word < 0)
             obs_first_word = p;
-        observed.insert(observed.end(), words, words + 16);
+        n_observed += 16;
     }
-    if (!assembly_ok || observed.size() < nk + 1)
+    if (n_observed < nk + 1)
         return std::nullopt;
-
-    repairAesScheduleWords(observed,
-                           static_cast<unsigned>(obs_first_word), nk,
-                           params.repair_iterations);
 
     // Any clean Nk-window determines the whole schedule (forward and
-    // backward). Decay may have corrupted any given window, so seed a
-    // full reconstruction from every window position and keep the one
-    // that agrees best with the observation.
-    std::vector<uint8_t> master;
-    unsigned best_dist = ~0u;
-    for (size_t s = 0; s + nk <= observed.size(); ++s) {
-        unsigned abs_s = static_cast<unsigned>(obs_first_word + s);
-        std::span<const uint32_t> window(&observed[s], nk);
-        std::vector<uint32_t> full(total_words);
-        auto head = aesScheduleBackward(window, abs_s, abs_s, nk);
-        std::copy(head.begin(), head.end(), full.begin());
-        std::copy(window.begin(), window.end(), full.begin() + abs_s);
-        auto tail = crypto::aesScheduleContinue(
-            window, abs_s + nk, total_words - abs_s - nk, nk);
-        std::copy(tail.begin(), tail.end(),
-                  full.begin() + abs_s + nk);
-
-        unsigned dist = 0;
-        for (size_t i = 0; i < observed.size(); ++i) {
-            dist += static_cast<unsigned>(std::popcount(
-                full[obs_first_word + i] ^ observed[i]));
-            if (dist >= best_dist)
-                break;
-        }
-        if (dist < best_dist) {
-            best_dist = dist;
-            master.resize(4 * nk);
-            for (unsigned i = 0; i < nk; ++i)
-                crypto::aesBytesFromWord(full[i], &master[4 * i]);
-            if (dist == 0)
-                break;
-        }
-    }
-    if (master.empty())
-        return std::nullopt;
+    // backward). Decay may have corrupted any given window, so after
+    // the repair every window position seeds a reconstruction and the
+    // one that agrees best with the observation is kept.
+    const auto first_word = static_cast<unsigned>(obs_first_word);
+    repairAesScheduleWords({w.observed, n_observed}, first_word, nk,
+                           params.repair_iterations);
+    bestAesScheduleFromWindows({w.observed, n_observed}, first_word, nk,
+                               {w.schedule, total_words});
+    for (unsigned i = 0; i < total_words; ++i)
+        crypto::aesBytesFromWord(w.schedule[i], &w.expanded[4 * i]);
 
     // Verify the reconstruction against every overlapping block,
     // including the partial boundary blocks.
-    auto expanded = aesExpandKey(master);
     uint64_t span_begin = table_off & ~63ULL;
     size_t verified = 0;
     unsigned total_errors = 0;
-    uint8_t plain[64];
     for (uint64_t b = span_begin; b < table_off + sched_bytes;
          b += 64) {
         // Overlap of this block with the table.
         uint64_t lo = std::max(b, table_off);
         uint64_t hi = std::min(b + 64,
                                table_off + sched_bytes);
+        auto tried = map.keysFor(b / 64);
+        if (tried.empty()) {
+            // No key to descramble with: every overlapping bit counts
+            // as an error, and the block does not verify.
+            total_errors += static_cast<unsigned>(8 * (hi - lo));
+            continue;
+        }
         unsigned best_dist = ~0u;
         auto raw = dump.chunk(b, 64, buf);
-        auto tried = routes.at(b);
         for (uint32_t k : tried) {
-            descramble(raw, keys[k].key, plain);
+            descramble(raw, keys[k].key, w.plain);
             // Subrange compare of the overlap (at most 64 bytes, so
             // the old "> 8 * 64 bits" early break could never fire).
             unsigned dist = static_cast<unsigned>(
-                simd::hammingDistance(plain + (lo - b),
-                                      expanded.data() +
-                                          (lo - table_off),
+                simd::hammingDistance(w.plain + (lo - b),
+                                      w.expanded + (lo - table_off),
                                       hi - lo));
             best_dist = std::min(best_dist, dist);
             if (best_dist == 0)
@@ -520,7 +540,9 @@ reconstructAt(const exec::DumpSource &dump,
 
     ++stats.reconstructions_verified;
     RecoveredAesKey out;
-    out.master = std::move(master);
+    out.master.resize(4 * nk);
+    for (unsigned i = 0; i < nk; ++i)
+        crypto::aesBytesFromWord(w.schedule[i], &out.master[4 * i]);
     out.key_size = params.key_size;
     out.table_offset = table_off;
     out.verified_blocks = verified;
@@ -536,16 +558,24 @@ fitKeyMap(const std::vector<MinedKey> &keys)
     return KeyMap(keys);
 }
 
+/** Blocks of a table scan that the address → key map covers, and
+ *  those of them whose slot holds no mined key. */
+struct RouteCounts
+{
+    uint64_t routed = 0;
+    uint64_t keyless = 0;
+};
+
 /**
- * scanAesKeyTables() through @p map: a block the map routes is
- * screened against its predicted keys only. Fills @p stats' scan
- * fields and counts the routed blocks in @p routed_blocks.
+ * scanAesKeyTables() through @p map: each block is screened against
+ * the keys map.keysFor() gives its line, a keyless block against
+ * none. Fills @p stats' scan fields and @p routes.
  */
 std::vector<AesTableHit>
 scanTables(const exec::DumpSource &dump,
            const std::vector<MinedKey> &candidate_keys,
            const KeyMap &map, const SearchParams &params,
-           SearchStats &stats, uint64_t &routed_blocks)
+           SearchStats &stats, RouteCounts &routes)
 {
     uint64_t begin = params.scan_start & ~63ULL;
     uint64_t end = params.scan_bytes == 0
@@ -554,9 +584,10 @@ scanTables(const exec::DumpSource &dump,
                              params.scan_start + params.scan_bytes);
 
     // Hot path: precompute every candidate key as packed schedule
-    // words and linear-check syndromes; per block, load the raw words
-    // once, screen every key with the syndrome kernel and descramble
-    // only the survivors with word XORs (the byte order cancels under
+    // words and linear-check syndromes; per block, look its keys up
+    // first (a keyless block is done), load the raw words once,
+    // screen the keys with the syndrome kernel and descramble only
+    // the survivors with word XORs (the byte order cancels under
     // XOR).
     std::vector<std::array<uint32_t, 16>> key_words(
         candidate_keys.size());
@@ -576,7 +607,7 @@ scanTables(const exec::DumpSource &dump,
         std::vector<AesTableHit> hits;
         uint64_t attempts = 0;
         uint64_t prefilter_passes = 0;
-        uint64_t routed_blocks = 0;
+        RouteCounts routes;
     };
     std::vector<AesTableHit> all_hits;
 
@@ -593,17 +624,23 @@ scanTables(const exec::DumpSource &dump,
             ChunkScan out;
             for (uint64_t off = 0; off + 64 <= bytes.size();
                  off += 64) {
+                const uint64_t line = (c.begin + off) / 64;
+                auto keys = map.keysFor(line);
+                if (map.covers(line)) {
+                    ++out.routes.routed;
+                    if (keys.empty()) {
+                        ++out.routes.keyless;
+                        continue;
+                    }
+                }
                 auto raw = bytes.subspan(off, 64);
                 if (isConstantBlock(raw))
                     continue;
                 uint32_t raw_words[16];
                 for (unsigned i = 0; i < 16; ++i)
                     raw_words[i] = aesWordFromBytes(&raw[4 * i]);
-                auto routed = map.keysFor((c.begin + off) / 64);
-                out.routed_blocks += routed.empty() ? 0 : 1;
-                out.attempts += routed.empty() ? candidate_keys.size()
-                                               : routed.size();
-                auto passed = screen.survivors(raw_words, routed, scratch);
+                out.attempts += keys.size();
+                auto passed = screen.survivors(raw_words, keys, scratch);
                 out.prefilter_passes += passed.size();
                 for (uint32_t ki : passed) {
                     // Entropy guard (plausibleScheduleEntropy):
@@ -637,10 +674,13 @@ scanTables(const exec::DumpSource &dump,
             stats.descramble_attempts += s.attempts;
             stats.prefilter_passes += s.prefilter_passes;
             stats.litmus_hits += s.hits.size();
-            routed_blocks += s.routed_blocks;
+            routes.routed += s.routes.routed;
+            routes.keyless += s.routes.keyless;
             all_hits.insert(all_hits.end(), s.hits.begin(),
                             s.hits.end());
         });
+    // The packed keys are key material too.
+    secureWipe(key_words.data(), sizeof(key_words[0]) * key_words.size());
     return all_hits;
 }
 
@@ -652,10 +692,10 @@ scanAesKeyTables(const exec::DumpSource &dump,
                  const SearchParams &params, SearchStats *stats)
 {
     SearchStats local;
-    uint64_t routed_blocks = 0;
+    RouteCounts routes;
     auto hits = scanTables(dump, candidate_keys,
                            fitKeyMap(candidate_keys), params, local,
-                           routed_blocks);
+                           routes);
     if (stats)
         *stats = local;
     return hits;
@@ -671,14 +711,13 @@ searchAesKeyTables(const exec::DumpSource &dump,
 
     std::vector<RecoveredAesKey> results;
     std::set<uint64_t> tried_offsets;
-    std::set<std::vector<uint8_t>> seen_masters;
 
     // Phase 1 - scan, through the address → key map fitted once for
     // the scan and the reconstructions.
     const KeyMap map = fitKeyMap(candidate_keys);
-    uint64_t routed_blocks = 0;
+    RouteCounts routes;
     auto all_hits = scanTables(dump, candidate_keys, map, params, local,
-                               routed_blocks);
+                               routes);
 
     // Phase 2 - reconstruct (serial; candidate offsets are few).
     // Round constants differ by only a bit or two, so the litmus
@@ -690,7 +729,6 @@ searchAesKeyTables(const exec::DumpSource &dump,
     unsigned modulus = std::lcm(4u, nk);
     unsigned max_p = (aesLitmusPlacements(params.key_size) - 1) * 4;
     exec::ChunkBuffer reconstruct_buf;
-    const KeyRoutes routes(map, candidate_keys.size());
     for (const auto &hit : all_hits) {
         exec::checkpointIfCancellable(params.cancel);
         for (unsigned s = hit.start_word % modulus; s <= max_p;
@@ -709,10 +747,14 @@ searchAesKeyTables(const exec::DumpSource &dump,
                      .second)
                 continue;
             auto rec = reconstructAt(
-                dump, candidate_keys, routes,
+                dump, candidate_keys, map,
                 static_cast<uint64_t>(table_off), params, local,
                 reconstruct_buf);
-            if (rec && seen_masters.insert(rec->master).second)
+            // Keep one copy of each master; a duplicate wipes itself.
+            if (rec && std::none_of(results.begin(), results.end(),
+                                    [&](const RecoveredAesKey &r) {
+                                        return r.master == rec->master;
+                                    }))
                 results.push_back(std::move(*rec));
         }
     }
@@ -762,10 +804,14 @@ searchAesKeyTables(const exec::DumpSource &dump,
                      "attempts passing the linear-syndrome prefilter")
         .add(local.prefilter_passes);
     registry.counter("attack.search.routed_blocks",
-                     "table-scan blocks tried against their predicted "
-                     "keys only (0 when the address → key map "
-                     "declined)")
-        .add(routed_blocks);
+                     "table-scan blocks the address → key map covers, "
+                     "each tried against its slot's keys only (0 when "
+                     "the map declined)")
+        .add(routes.routed);
+    registry.counter("attack.search.keyless_blocks",
+                     "routed blocks whose slot holds no mined key, so "
+                     "nothing was tried on them")
+        .add(routes.keyless);
     registry.counter("attack.search.litmus_hits",
                      "blocks passing the AES key-schedule litmus")
         .add(local.litmus_hits);

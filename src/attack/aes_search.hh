@@ -4,8 +4,9 @@
  *
  * For every 64-byte block of the dump and each candidate scrambler
  * key it may be scrambled with - the keys the address → key map
- * (key_map.hh) predicts for its line, or every mined key where it
- * predicts none - the pair is screened by an exact linear-syndrome
+ * (key_map.hh) gives its line: its slot's keys, possibly none, where
+ * the map covers the line, every mined key elsewhere - the pair is
+ * screened by an exact linear-syndrome
  * prefilter, and the survivors are descrambled and fed to the AES key
  * litmus test. A hit pins the block to an absolute position inside an
  * expanded key schedule; the recurrence is then run forward and
@@ -99,9 +100,9 @@ struct SearchStats
 {
     uint64_t blocks_scanned = 0;
     /** (block, candidate key) pairs tried: by the table scan, each
-     *  non-constant block with its routed keys (every key where the
-     *  address → key map predicts none), plus each block a
-     *  reconstruction assembles or verifies with its routed keys. */
+     *  non-constant block with the keys the address → key map gives
+     *  its line (KeyMap::keysFor), plus each block a reconstruction
+     *  assembles or verifies with those keys. */
     uint64_t descramble_attempts = 0;
     /** Attempts passing the linear-syndrome prefilter, the only ones
      *  that reach the entropy guard and the litmus. */
@@ -147,9 +148,9 @@ struct AesTableHit
 /**
  * The table scan, phase 1 of searchAesKeyTables(): every (block,
  * candidate key) pair of the scan range that passes the entropy guard
- * and the AES key litmus. Where the keys' address → key map is
- * confident, a block is tried only with the keys it predicts for the
- * block's line (every key where it predicts none). An exact
+ * and the AES key litmus, where a block is tried only with the keys
+ * the keys' address → key map gives its line (KeyMap::keysFor: none
+ * for a covered line whose slot mined no key). An exact
  * linear-syndrome prefilter (DESIGN.md §15) rejects almost every pair
  * before either runs, so the hits equal those of testing every such
  * pair.
@@ -166,7 +167,8 @@ std::vector<AesTableHit> scanAesKeyTables(
 /**
  * Search a scrambled dump for expanded AES key tables. The address
  * → key map of @p candidate_keys is fitted once, and the scan and
- * every reconstruction try each block with its routed keys only.
+ * every reconstruction try each block with KeyMap::keysFor() of its
+ * line only.
  *
  * @param dump           The scrambled dump (any DumpSource backend).
  * @param candidate_keys Mined scrambler keys (attack step 1 output).
@@ -191,15 +193,38 @@ std::vector<RecoveredAesKey> searchAesKeyTables(
  * and ablation benches).
  *
  * @param words       Observed schedule words w[first_word ..
- *                    first_word + words.size()).
+ *                    first_word + words.size()), at most one
+ *                    AES-256 schedule's 60.
  * @param first_word  Absolute index of words[0].
  * @param nk          Key length in words.
  * @param iterations  Maximum repair sweeps.
- * @return Number of words modified.
+ * @return Bits flipped by the bit-level pass plus words replaced by
+ *         the word-level pass.
  */
 unsigned repairAesScheduleWords(std::span<uint32_t> words,
                                 unsigned first_word, unsigned nk,
                                 unsigned iterations);
+
+/**
+ * The whole schedule that best explains an observed run of schedule
+ * words: every Nk-word window of @p observed seeds a schedule
+ * (backward to word 0, forward to the end), and the first one at the
+ * least Hamming distance from the observation wins. A window whose
+ * last word continues the previous window's schedule seeds that same
+ * schedule and is skipped (DESIGN.md §15). Exposed for tests.
+ *
+ * @param observed    Schedule words w[first_word .. first_word +
+ *                    observed.size()), inside @p schedule's range.
+ * @param first_word  Absolute index of observed[0].
+ * @param nk          Key length in words.
+ * @param schedule    Receives the winning schedule, all 4 (Nk + 7)
+ *                    words; words 0 .. Nk - 1 are the master key.
+ * @return The winner's distance in bits, ~0u when @p observed holds
+ *         fewer than Nk words (and @p schedule is untouched).
+ */
+unsigned bestAesScheduleFromWindows(std::span<const uint32_t> observed,
+                                    unsigned first_word, unsigned nk,
+                                    std::span<uint32_t> schedule);
 
 } // namespace coldboot::attack
 

@@ -37,8 +37,9 @@ reduceLine(const uint32_t (&rows)[32], unsigned bits, uint64_t v)
 
 } // anonymous namespace
 
-KeyMap::KeyMap(const std::vector<MinedKey> &keys)
+KeyMap::KeyMap(const std::vector<MinedKey> &keys) : pool(keys.size())
 {
+    std::iota(pool.begin(), pool.end(), 0u);
     uint32_t top = 0;
     for (const MinedKey &k : keys) {
         if (k.lines.empty())

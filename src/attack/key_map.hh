@@ -15,11 +15,12 @@
  * every difference of the odd-ranked keys lies in K too, with enough
  * of them that random placements pass with probability below 2^-64.
  * Then the AES search tries each block only against the keys whose
- * first line shares the block's coset, instead of the whole pool.
+ * first line shares the block's coset, instead of the whole pool, and
+ * a block whose coset mined no key against none.
  *
  * A map that declines (DDR3 universal-key dumps, random placements,
- * hand-built keys without lines) routes nothing, and the search runs
- * exactly as without it.
+ * hand-built keys without lines) covers no line, and the search tries
+ * every key on every block, exactly as without it.
  */
 
 #ifndef COLDBOOT_ATTACK_KEY_MAP_HH
@@ -47,21 +48,29 @@ class KeyMap
      */
     explicit KeyMap(const std::vector<MinedKey> &keys);
 
-    /** True when the fit validated and keysFor() routes. */
+    /** True when the fit validated and the map covers lines. */
     bool confident() const { return !slot_begin.empty(); }
 
+    /** Whether the map routes @p line: it is confident and @p line is
+     *  no wider than the fitted lines. */
+    bool
+    covers(uint64_t line) const
+    {
+        return !slot_begin.empty() && (line >> line_bits) == 0;
+    }
+
     /**
-     * Indices into the fitted key vector, ascending, of the keys
-     * whose first line shares @p line's coset of K. Empty when the
-     * map declined, when @p line is wider than the fitted lines, or
-     * when no key's first line lies in that coset: the caller then
-     * tries the whole pool.
+     * The keys to try on @p line, as ascending indices into the fitted
+     * key vector. On a covered line, exactly the keys whose first line
+     * shares @p line's coset of K - none when that coset mined no key.
+     * Elsewhere (the map declined, or @p line is wider than the fitted
+     * lines) every key.
      */
     std::span<const uint32_t>
     keysFor(uint64_t line) const
     {
-        if (slot_begin.empty() || (line >> line_bits) != 0)
-            return {};
+        if (!covers(line))
+            return pool;
         uint32_t slot = 0;
         for (unsigned j = 0; 8 * j < line_bits; ++j)
             slot ^= byte_slots[256 * j + ((line >> (8 * j)) & 255)];
@@ -77,6 +86,8 @@ class KeyMap
     bool inKernel(uint64_t d) const;
 
   private:
+    /** Every key index, ascending: the answer for uncovered lines. */
+    std::vector<uint32_t> pool;
     unsigned line_bits = 0;
     unsigned kernel_dim = 0;
     /** rows[b]: K's basis vector whose highest set bit is b, or 0. */

@@ -830,9 +830,10 @@ class SearchPrefilterExactOracle final : public Oracle
  * address-keyed dump, with the keys the miner found, the routed table
  * scan must return exactly the hits of the every-key scan (the same
  * keys with their lines cleared, so the map declines) on the pairs
- * whose key the map predicts for the block's line, or on any key
- * where it predicts none, and count exactly the attempts that
- * implies. At zero decay both searches recover the planted master.
+ * the map allows: on a covered line its slot's keys only, none when
+ * the slot mined no key; on any other line every key. It must count
+ * exactly the attempts that implies. At zero decay both searches
+ * recover the planted master.
  */
 class SearchRoutedExactOracle final : public Oracle
 {
@@ -843,7 +844,8 @@ class SearchRoutedExactOracle final : public Oracle
     description() const override
     {
         return "the AES search routed through the address -> key map "
-               "finds the every-key hits on the keys the map predicts";
+               "finds the every-key hits on exactly the keys the map "
+               "allows, none on a keyless covered line";
     }
 
     unsigned smokeStride() const override { return 8; }
@@ -895,20 +897,23 @@ class SearchRoutedExactOracle final : public Oracle
         std::vector<attack::AesTableHit> want;
         for (const auto &hit : every) {
             auto keys = map.keysFor(hit.offset / 64);
-            if (keys.empty() ||
-                std::binary_search(keys.begin(), keys.end(),
+            if (std::binary_search(keys.begin(), keys.end(),
                                    hit.key_index))
                 want.push_back(hit);
         }
         uint64_t attempts = 0, every_attempts = 0;
+        bool keyless = false;
         for (uint64_t off = 0; off + 64 <= dump.bytes.size();
              off += 64) {
+            auto keys = map.keysFor(off / 64);
+            keyless = keyless || (map.covers(off / 64) && keys.empty());
             if (attack::isConstantBlock({&dump.bytes[off], 64}))
                 continue;
-            auto keys = map.keysFor(off / 64);
-            attempts += keys.empty() ? mined.size() : keys.size();
+            attempts += keys.size();
             every_attempts += mined.size();
         }
+        if (keyless)
+            res.feature(14); // a covered line with no key tried none
         if (routed != want ||
             routed_stats.descramble_attempts != attempts ||
             every_stats.descramble_attempts != every_attempts) {

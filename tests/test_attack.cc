@@ -14,6 +14,8 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -285,6 +287,199 @@ TEST(ScheduleRepair, WorksOnPartialWindows)
     corrupted[33] ^= 0x1000;
     repairAesScheduleWords(corrupted, 12, 8, 8);
     EXPECT_EQ(corrupted, words);
+}
+
+/**
+ * The bit-flipping repair with a 32-step vote per word and fresh
+ * vectors each sweep: the slow reference for the bitwise majority of
+ * repairAesScheduleWords().
+ */
+unsigned
+referenceRepair(std::vector<uint32_t> &words, unsigned first_word,
+                unsigned nk, unsigned iterations)
+{
+    size_t n = words.size();
+    unsigned total_fixed = 0;
+    for (unsigned sweep = 0; sweep < iterations; ++sweep) {
+        std::vector<uint32_t> f_of(n);
+        for (size_t i = 0; i < n; ++i)
+            f_of[i] = crypto::aesScheduleStep(
+                words[i], 0, first_word + static_cast<unsigned>(i) + 1,
+                nk);
+        unsigned fixed_bits = 0;
+        std::vector<uint32_t> flips(n, 0);
+        for (size_t i = 0; i < n; ++i) {
+            unsigned a = first_word + static_cast<unsigned>(i);
+            uint32_t viol[3];
+            int nchecks = 0;
+            if (i >= nk && a >= nk)
+                viol[nchecks++] = words[i] ^ words[i - nk] ^ f_of[i - 1];
+            if (i + nk < n)
+                viol[nchecks++] =
+                    words[i + nk] ^ words[i] ^ f_of[i + nk - 1];
+            if (i + 1 < n && i + 1 >= nk && a + 1 >= nk &&
+                crypto::aesStepIsLinear(a + 1, nk))
+                viol[nchecks++] =
+                    words[i + 1] ^ words[i + 1 - nk] ^ words[i];
+            if (nchecks < 2)
+                continue;
+            for (unsigned j = 0; j < 32; ++j) {
+                int violated = 0;
+                for (int c = 0; c < nchecks; ++c)
+                    violated += (viol[c] >> j) & 1;
+                if (violated >= 2)
+                    flips[i] |= 1u << j;
+            }
+        }
+        for (size_t i = 0; i < n; ++i) {
+            words[i] ^= flips[i];
+            fixed_bits += static_cast<unsigned>(std::popcount(flips[i]));
+        }
+        total_fixed += fixed_bits;
+        if (fixed_bits == 0)
+            break;
+    }
+    for (unsigned sweep = 0; sweep < iterations; ++sweep) {
+        unsigned fixed = 0;
+        for (size_t i = 0; i < n; ++i) {
+            unsigned a = first_word + static_cast<unsigned>(i);
+            std::optional<uint32_t> fwd, bwd;
+            if (i >= nk && a >= nk)
+                fwd = crypto::aesScheduleStep(words[i - 1], words[i - nk],
+                                              a, nk);
+            if (i + nk < n)
+                bwd = words[i + nk] ^ crypto::aesScheduleStep(
+                                          words[i + nk - 1], 0, a + nk, nk);
+            if (fwd && bwd && *fwd == *bwd && words[i] != *fwd) {
+                words[i] = *fwd;
+                ++fixed;
+            }
+        }
+        total_fixed += fixed;
+        if (fixed == 0)
+            break;
+    }
+    return total_fixed;
+}
+
+/**
+ * Every window re-expanded through aesScheduleBackward /
+ * aesScheduleContinue, none skipped: the slow reference for
+ * bestAesScheduleFromWindows(). Returns the winner's distance and
+ * writes its master words.
+ */
+unsigned
+referenceBestWindow(const std::vector<uint32_t> &observed,
+                    unsigned first_word, unsigned nk, unsigned total,
+                    std::vector<uint32_t> &master)
+{
+    unsigned best_dist = ~0u;
+    for (size_t s = 0; s + nk <= observed.size(); ++s) {
+        unsigned abs_s = first_word + static_cast<unsigned>(s);
+        std::span<const uint32_t> window(&observed[s], nk);
+        std::vector<uint32_t> full(total);
+        auto head = crypto::aesScheduleBackward(window, abs_s, abs_s, nk);
+        std::copy(head.begin(), head.end(), full.begin());
+        std::copy(window.begin(), window.end(), full.begin() + abs_s);
+        auto tail = crypto::aesScheduleContinue(window, abs_s + nk,
+                                                total - abs_s - nk, nk);
+        std::copy(tail.begin(), tail.end(), full.begin() + abs_s + nk);
+        unsigned dist = 0;
+        for (size_t i = 0; i < observed.size(); ++i) {
+            dist += static_cast<unsigned>(
+                std::popcount(full[first_word + i] ^ observed[i]));
+            if (dist >= best_dist)
+                break;
+        }
+        if (dist < best_dist) {
+            best_dist = dist;
+            master.assign(full.begin(), full.begin() + nk);
+            if (dist == 0)
+                break;
+        }
+    }
+    return best_dist;
+}
+
+TEST(ScheduleRepair, FastPathsMatchTheirReferences)
+{
+    // The full blocks of a table at a random 4-byte alignment in its
+    // line, as the search assembles them, decayed at 0-6 %; every
+    // other case labelled at a congruent wrong placement.
+    Xoshiro256StarStar rng(23);
+    unsigned congruent = 0, recovered = 0, missed = 0, skipped = 0;
+    for (auto ks : {AesKeySize::Aes128, AesKeySize::Aes192,
+                    AesKeySize::Aes256}) {
+        const unsigned nk = crypto::aesNk(ks);
+        const auto total =
+            static_cast<unsigned>(crypto::aesScheduleBytes(ks) / 4);
+        const unsigned modulus = std::lcm(4u, nk);
+        for (unsigned pct = 0; pct <= 6; ++pct) {
+            for (unsigned trial = 0; trial < 40; ++trial) {
+                std::vector<uint8_t> key(4 * nk);
+                rng.fillBytes(key);
+                auto sched = crypto::aesExpandKey(key);
+                const auto p = static_cast<unsigned>(
+                    (64 - 4 * rng.nextBelow(16)) % 64 / 4);
+                const unsigned n = 16 * ((total - p) / 16);
+                std::vector<uint32_t> observed(n);
+                for (unsigned i = 0; i < n; ++i) {
+                    observed[i] =
+                        crypto::aesWordFromBytes(&sched[4 * (p + i)]);
+                    for (unsigned b = 0; b < 32; ++b)
+                        if (rng.nextBelow(100) < pct)
+                            observed[i] ^= 1u << b;
+                }
+                unsigned first = p;
+                if (trial % 2 == 1) {
+                    std::vector<unsigned> shifts;
+                    for (unsigned q = p % modulus; q + n <= total;
+                         q += modulus)
+                        if (q != p)
+                            shifts.push_back(q);
+                    if (shifts.empty()) {
+                        ++skipped;
+                        continue;
+                    }
+                    first = shifts[rng.nextBelow(shifts.size())];
+                    ++congruent;
+                }
+
+                auto ref = observed, fast = observed;
+                const unsigned ref_fixed = referenceRepair(ref, first, nk, 8);
+                ASSERT_EQ(repairAesScheduleWords(fast, first, nk, 8),
+                          ref_fixed);
+                ASSERT_EQ(fast, ref);
+
+                std::vector<uint32_t> ref_master;
+                const unsigned ref_dist =
+                    referenceBestWindow(ref, first, nk, total, ref_master);
+                std::vector<uint32_t> schedule(total);
+                ASSERT_EQ(bestAesScheduleFromWindows(fast, first, nk,
+                                                     schedule),
+                          ref_dist);
+                ASSERT_EQ(std::vector<uint32_t>(schedule.begin(),
+                                                schedule.begin() + nk),
+                          ref_master);
+                // The winner is one whole schedule: its master's
+                // expansion.
+                std::vector<uint8_t> master(4 * nk);
+                for (unsigned i = 0; i < nk; ++i)
+                    crypto::aesBytesFromWord(schedule[i], &master[4 * i]);
+                auto expanded = crypto::aesExpandKey(master);
+                for (unsigned i = 0; i < total; ++i)
+                    ASSERT_EQ(schedule[i],
+                              crypto::aesWordFromBytes(&expanded[4 * i]));
+                // Both verdicts: the planted master or not.
+                (master == key ? recovered : missed) += 1;
+            }
+        }
+    }
+    // Both outcomes and the wrong placements are exercised.
+    EXPECT_GT(congruent, 100u);
+    EXPECT_GT(recovered, 100u);
+    EXPECT_GT(missed, 100u);
+    EXPECT_LT(skipped, congruent);
 }
 
 //
@@ -612,8 +807,10 @@ TEST(KeyMap, FitsTheSkylakeAddressMap)
             ASSERT_EQ(keys.size(), 1u) << "line " << line;
             ASSERT_EQ(keys[0], k) << "line " << line;
         }
-    // Lines wider than the fitted 16 bits route nowhere.
-    EXPECT_TRUE(map.keysFor(uint64_t{1} << 16).empty());
+    // Lines wider than the fitted 16 bits are not covered: they try
+    // every key.
+    EXPECT_FALSE(map.covers(uint64_t{1} << 16));
+    EXPECT_EQ(map.keysFor(uint64_t{1} << 16).size(), c.mined.size());
 }
 
 TEST(KeyMap, MinedKeysCarryTheirLines)
@@ -654,6 +851,83 @@ TEST(KeyMap, RoutedSearchRecoversThePairInFarFewerAttempts)
     EXPECT_LT(stats.descramble_attempts,
               stats.blocks_scanned * c.mined.size() / 20);
     EXPECT_GT(routedBlocks() - before, stats.blocks_scanned / 2);
+}
+
+TEST(KeyMap, EveryCoveredBlockTriesExactlyItsSlot)
+{
+    const auto &c = skylakeCapture();
+    const KeyMap map(c.mined);
+    ASSERT_TRUE(map.confident());
+    uint64_t non_constant = 0, slot_keys = 0, empty_slots = 0;
+    for (uint64_t line = 0; line < c.dump.size() / 64; ++line) {
+        ASSERT_TRUE(map.covers(line)) << "line " << line;
+        empty_slots += map.keysFor(line).empty() ? 1 : 0;
+        if (isConstantBlock(c.dump.bytes().subspan(64 * line, 64)))
+            continue;
+        ++non_constant;
+        slot_keys += map.keysFor(line).size();
+    }
+    SearchStats scan;
+    scanAesKeyTables(exec::MemoryDumpSource(c.dump.bytes()), c.mined, {},
+                     &scan);
+    EXPECT_EQ(scan.descramble_attempts, slot_keys);
+
+    auto &registry = obs::StatRegistry::global();
+    auto &keyless = registry.counter("attack.search.keyless_blocks");
+    const uint64_t routed0 = routedBlocks(), keyless0 = keyless.value();
+    auto pairs = pairXtsKeys(searchAesKeyTables(c.dump, c.mined));
+    EXPECT_EQ(routedBlocks() - routed0, non_constant);
+    // 7 of the 4,096 keys were never mined: 16 lines each.
+    EXPECT_EQ(c.mined.size(), 4089u);
+    EXPECT_EQ(empty_slots, 16 * (4096 - c.mined.size()));
+    EXPECT_EQ(keyless.value() - keyless0, empty_slots);
+    ASSERT_EQ(pairs.size(), 1u);
+    EXPECT_EQ(memcmp(pairs[0].data_key.data(), c.master.data(), 32), 0);
+    EXPECT_EQ(memcmp(pairs[0].tweak_key.data(), c.master.data() + 32,
+                     32),
+              0);
+}
+
+TEST(KeyMap, AKeylessLineOfATableLosesThatTable)
+{
+    const auto &c = skylakeCapture();
+    // One flipped bit in each of the data table's three full blocks,
+    // so its reconstruction verifies with 3 bit errors: a keyless
+    // block that wrapped the error sum would pass it.
+    const uint64_t table = c.keytable_addr; // 16 bytes into a line
+    MemoryImage dump(c.dump.size());
+    std::copy(c.dump.bytes().begin(), c.dump.bytes().end(),
+              dump.bytesMutable().begin());
+    for (uint64_t b : {table + 48, table + 112, table + 176})
+        dump.bytesMutable()[b] ^= 0x10;
+    auto tables = [&](const std::vector<MinedKey> &keys) {
+        std::vector<uint64_t> offsets;
+        for (const auto &k : searchAesKeyTables(dump, keys))
+            offsets.push_back(k.table_offset);
+        return offsets;
+    };
+    auto found = tables(c.mined);
+    ASSERT_EQ(std::count(found.begin(), found.end(), table), 1);
+
+    // The head line (48 bytes of the table, verification only), then
+    // each full block's line (assembly).
+    const KeyMap full_map(c.mined);
+    for (uint64_t line = table / 64; line < (table + 240 + 63) / 64;
+         ++line) {
+        auto slot = full_map.keysFor(line);
+        ASSERT_EQ(slot.size(), 1u) << "line " << line;
+        auto keys = c.mined;
+        keys.erase(keys.begin() + slot[0]);
+        const KeyMap map(keys);
+        ASSERT_TRUE(map.confident()) << "line " << line;
+        ASSERT_TRUE(map.keysFor(line).empty()) << "line " << line;
+        found = tables(keys);
+        EXPECT_EQ(std::count(found.begin(), found.end(), table), 0)
+            << "line " << line;
+        // The tweak table's lines keep their keys.
+        EXPECT_EQ(std::count(found.begin(), found.end(), table + 240), 1)
+            << "line " << line;
+    }
 }
 
 TEST(KeyMap, DeclinesOnRandomPlacements)
