@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
 
 #include "common/logging.hh"
 #include "exec/scan.hh"
@@ -39,7 +38,6 @@ haldermanSearch(const exec::DumpSource &image,
                              params.scan_start + params.scan_bytes);
 
     std::vector<BaselineKey> out;
-    std::set<std::vector<uint8_t>> seen;
     if (end < begin || end - begin < sched_bytes)
         return out;
     uint64_t last_window =
@@ -91,6 +89,8 @@ haldermanSearch(const exec::DumpSource &image,
             size_t rem = simd::hammingDistanceBounded(
                 &bytes[local_off + 4 * screened], pred.data(),
                 pred.size(), budget);
+            secureWipe(pred);
+            secureWipe(tail.data(), tail.size() * sizeof(tail[0]));
             if (rem > budget)
                 return;
             errors += static_cast<unsigned>(rem);
@@ -109,8 +109,9 @@ haldermanSearch(const exec::DumpSource &image,
     // The chunks tile the window starts, each a whole number of
     // steps, and the windows overlap (each spans sched_bytes), so
     // every chunk also reads the schedule-length tail past its end.
-    // Candidates are deduplicated during the ordered reduction,
-    // giving output byte-identical to the sequential slide.
+    // Candidates are deduplicated against the keys already kept
+    // during the ordered reduction, giving output byte-identical to
+    // the sequential slide; the kept keys wipe themselves.
     exec::scanDump<std::vector<BaselineKey>>(
         image,
         {.name = "search.halderman",
@@ -126,7 +127,10 @@ haldermanSearch(const exec::DumpSource &image,
         },
         [&](std::vector<BaselineKey> &&found, const exec::ChunkRange &) {
             for (auto &key : found)
-                if (seen.insert(key.master).second)
+                if (std::none_of(out.begin(), out.end(),
+                                 [&](const BaselineKey &kept) {
+                                     return kept.master == key.master;
+                                 }))
                     out.push_back(std::move(key));
         });
     return out;

@@ -30,29 +30,45 @@ uint64_t
 reduceLine(const uint32_t (&rows)[32], unsigned bits, uint64_t v)
 {
     for (unsigned b = bits; b-- > 0;)
-        if (((v >> b) & 1) != 0)
-            v ^= rows[b];
+        v ^= rows[b] & (0 - ((v >> b) & 1));
     return v;
 }
 
 } // anonymous namespace
 
-KeyMap::KeyMap(const std::vector<MinedKey> &keys) : pool(keys.size())
+KeyMap::KeyMap(const std::vector<MinedKey> &keys)
 {
+    std::vector<std::span<const uint32_t>> groups;
+    groups.reserve(keys.size());
+    for (const MinedKey &k : keys)
+        groups.emplace_back(k.lines);
+    fit(groups, 0);
+}
+
+KeyMap::KeyMap(std::span<const std::span<const uint32_t>> groups,
+               uint32_t top_line)
+{
+    fit(groups, top_line);
+}
+
+void
+KeyMap::fit(std::span<const std::span<const uint32_t>> groups,
+            uint32_t top)
+{
+    pool.resize(groups.size());
     std::iota(pool.begin(), pool.end(), 0u);
-    uint32_t top = 0;
-    for (const MinedKey &k : keys) {
-        if (k.lines.empty())
+    for (auto lines : groups) {
+        if (lines.empty())
             return;
-        top = std::max(top, k.lines.back());
+        top = std::max(top, lines.back());
     }
     const auto n = static_cast<unsigned>(std::bit_width(top));
 
-    // Fit: K is spanned by the even-ranked keys' line differences.
+    // Fit: K is spanned by the even-ranked groups' line differences.
     unsigned dim = 0;
-    for (size_t r = 0; r < keys.size() && dim < n; r += 2) {
-        const uint32_t anchor = keys[r].lines.front();
-        for (uint32_t line : keys[r].lines) {
+    for (size_t r = 0; r < groups.size() && dim < n; r += 2) {
+        const uint32_t anchor = groups[r].front();
+        for (uint32_t line : groups[r]) {
             uint64_t v = reduceLine(rows, n, line ^ anchor);
             if (v != 0) {
                 rows[std::bit_width(v) - 1] = static_cast<uint32_t>(v);
@@ -61,14 +77,14 @@ KeyMap::KeyMap(const std::vector<MinedKey> &keys) : pool(keys.size())
         }
     }
 
-    // Hold out: every odd-ranked key's differences must lie in K.
+    // Hold out: every odd-ranked group's differences must lie in K.
     uint64_t held_out = 0;
-    for (size_t r = 1; r < keys.size(); r += 2) {
-        const uint32_t anchor = keys[r].lines.front();
-        for (uint32_t line : keys[r].lines)
+    for (size_t r = 1; r < groups.size(); r += 2) {
+        const uint32_t anchor = groups[r].front();
+        for (uint32_t line : groups[r])
             if (reduceLine(rows, n, line ^ anchor) != 0)
                 return;
-        held_out += keys[r].lines.size() - 1;
+        held_out += groups[r].size() - 1;
     }
     const unsigned slot_bits = n - dim;
     if (slot_bits == 0 || slot_bits > kMaxSlotBits ||
@@ -93,16 +109,16 @@ KeyMap::KeyMap(const std::vector<MinedKey> &keys) : pool(keys.size())
 
     // Each key sits in its first line's slot; a counting sort keeps
     // every slot's keys ascending.
-    std::vector<uint32_t> anchors(keys.size());
+    std::vector<uint32_t> anchors(groups.size());
     slot_begin.assign((size_t{1} << slot_bits) + 1, 0);
-    for (size_t k = 0; k < keys.size(); ++k) {
-        anchors[k] = slot_of(keys[k].lines.front());
+    for (size_t k = 0; k < groups.size(); ++k) {
+        anchors[k] = slot_of(groups[k].front());
         ++slot_begin[anchors[k]];
     }
     std::partial_sum(slot_begin.begin(), slot_begin.end(),
                      slot_begin.begin());
-    slot_members.resize(keys.size());
-    for (size_t k = keys.size(); k-- > 0;)
+    slot_members.resize(groups.size());
+    for (size_t k = groups.size(); k-- > 0;)
         slot_members[--slot_begin[anchors[k]]] = static_cast<uint32_t>(k);
 }
 

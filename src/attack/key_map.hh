@@ -48,6 +48,16 @@ class KeyMap
      */
     explicit KeyMap(const std::vector<MinedKey> &keys);
 
+    /**
+     * Fit the map to @p groups, each a run of ascending lines known to
+     * share a key, ranked in the given order, by the same rule; n is
+     * the bit width of @p top_line or of the highest grouped line,
+     * whichever is wider. keysFor() then answers with group indices.
+     * The miner fits this way before it clusters (DESIGN.md §15).
+     */
+    KeyMap(std::span<const std::span<const uint32_t>> groups,
+           uint32_t top_line);
+
     /** True when the fit validated and the map covers lines. */
     bool confident() const { return !slot_begin.empty(); }
 
@@ -71,12 +81,24 @@ class KeyMap
     {
         if (!covers(line))
             return pool;
-        uint32_t slot = 0;
-        for (unsigned j = 0; 8 * j < line_bits; ++j)
-            slot ^= byte_slots[256 * j + ((line >> (8 * j)) & 255)];
+        const uint32_t slot = slotOf(line);
         return {slot_members.data() + slot_begin[slot],
                 slot_members.data() + slot_begin[slot + 1]};
     }
+
+    /** The coset slot of a covered @p line, below slots(): lines share
+     *  a slot exactly when their difference lies in K. */
+    uint32_t
+    slotOf(uint64_t line) const
+    {
+        uint32_t slot = 0;
+        for (unsigned j = 0; 8 * j < line_bits; ++j)
+            slot ^= byte_slots[256 * j + ((line >> (8 * j)) & 255)];
+        return slot;
+    }
+
+    /** Slots of a confident map, 2^(n - dim K) (0 when declined). */
+    size_t slots() const { return confident() ? slot_begin.size() - 1 : 0; }
 
     /** dim K of a confident map (0 when declined). */
     unsigned kernelDim() const { return confident() ? kernel_dim : 0; }
@@ -86,6 +108,9 @@ class KeyMap
     bool inKernel(uint64_t d) const;
 
   private:
+    void fit(std::span<const std::span<const uint32_t>> groups,
+             uint32_t top_line);
+
     /** Every key index, ascending: the answer for uncovered lines. */
     std::vector<uint32_t> pool;
     unsigned line_bits = 0;

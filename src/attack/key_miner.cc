@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <deque>
+#include <optional>
 
 #include "common/bits.hh"
+#include "attack/key_map.hh"
 #include "attack/litmus.hh"
 #include "simd/simd.hh"
 #include "exec/scan.hh"
@@ -19,74 +20,57 @@ namespace
 {
 
 /**
- * The tally lanes of every byte value: entry v holds bit b of v in
- * 16-bit lane b, laid out as one byte's eight tallies are, so two
- * 64-bit adds count all eight bits. A lane adds 0 or 1 and a 16-bit
- * tally never passes 65,535 (majorityOf), so no carry crosses into
- * the next lane.
- */
-constexpr auto kTallyLanes = [] {
-    std::array<std::array<uint64_t, 2>, 256> lanes{};
-    for (unsigned v = 0; v < 256; ++v) {
-        std::array<uint16_t, 8> bits{};
-        for (unsigned b = 0; b < 8; ++b)
-            bits[b] = static_cast<uint16_t>((v >> b) & 1);
-        lanes[v] = std::bit_cast<std::array<uint64_t, 2>>(bits);
-    }
-    return lanes;
-}();
-
-/** Add one copy's bits to 16-bit per-bit tallies, a byte at a time. */
-void
-tallyBits(uint16_t *votes, std::span<const uint8_t> block)
-{
-    for (unsigned i = 0; i < 64; ++i) {
-        uint64_t words[2];
-        std::memcpy(words, votes + 8 * i, sizeof(words));
-        words[0] += kTallyLanes[block[i]][0];
-        words[1] += kTallyLanes[block[i]][1];
-        std::memcpy(votes + 8 * i, words, sizeof(words));
-    }
-}
-
-/** Add one copy's bits to 64-bit per-bit tallies. */
-void
-tallyBits(uint64_t *votes, std::span<const uint8_t> block)
-{
-    for (unsigned i = 0; i < 64; ++i)
-        for (unsigned b = 0; b < 8; ++b)
-            votes[8 * i + b] += (block[i] >> b) & 1;
-}
-
-/**
  * The per-bit majority of one cluster's @p count copies, @p copyAt(k)
  * the k-th in dump order. An exact tie (possible with an even count)
  * falls back to the first copy's bit - an arbitrary tie-break would
  * be wrong half the time and a single wrong key bit systematically
- * corrupts every block descrambled with that key. Tally is 16 bits
- * while @p count fits, so no count wraps; the tallies are wiped after.
+ * corrupts every block descrambled with that key.
+ *
+ * The 512 counts are bit-sliced: plane p holds bit p of every count
+ * as eight 64-bit words, and a copy's word ripples through the planes
+ * as a carry. bit_width(count) planes hold every count, so none
+ * wraps. Comparing the sliced counts from the top plane down finds
+ * 2c > count, and c == count / 2 for the tie. The planes are wiped
+ * after.
  */
-template <typename Tally, typename CopyAt>
+template <typename CopyAt>
 std::array<uint8_t, 64>
 majorityOf(size_t count, CopyAt &&copyAt)
 {
-    std::array<Tally, 512> votes{};
-    for (size_t k = 0; k < count; ++k)
-        tallyBits(votes.data(), copyAt(k));
+    const auto used = static_cast<unsigned>(std::bit_width(count));
+    std::array<std::array<uint64_t, 8>, 64> planes;
+    std::fill_n(planes.begin(), used, std::array<uint64_t, 8>{});
+    for (size_t k = 0; k < count; ++k) {
+        std::span<const uint8_t> copy = copyAt(k);
+        for (unsigned w = 0; w < 8; ++w)
+            for (uint64_t carry = loadLE64(&copy[8 * w]), p = 0;
+                 carry != 0; ++p) {
+                const uint64_t next = planes[p][w] & carry;
+                planes[p][w] ^= carry;
+                carry = next;
+            }
+    }
+    const size_t above = count / 2 + 1, half = count / 2;
     std::span<const uint8_t> first = copyAt(0);
     std::array<uint8_t, 64> key{};
-    for (unsigned i = 0; i < 64; ++i) {
-        unsigned byte = 0;
-        for (unsigned b = 0; b < 8; ++b) {
-            uint64_t twice = 2 * static_cast<uint64_t>(votes[8 * i + b]);
-            unsigned tie = (first[i] >> b) & 1;
-            unsigned one = static_cast<unsigned>(twice > count) |
-                           (static_cast<unsigned>(twice == count) & tie);
-            byte |= one << b;
+    for (unsigned w = 0; w < 8; ++w) {
+        uint64_t greater = 0, equal = ~0ull, tie = ~0ull;
+        for (unsigned p = used; p-- > 0;) {
+            const uint64_t c = planes[p][w];
+            if ((above >> p) & 1) {
+                equal &= c;
+            } else {
+                greater |= equal & c;
+                equal &= ~c;
+            }
+            tie &= (half >> p) & 1 ? c : ~c;
         }
-        key[i] = static_cast<uint8_t>(byte);
+        uint64_t word = greater | equal;
+        if (count % 2 == 0)
+            word |= tie & loadLE64(&first[8 * w]);
+        storeLE64(&key[8 * w], word);
     }
-    secureWipe(votes.data(), sizeof(votes));
+    secureWipe(planes.data(), used * sizeof(planes[0]));
     return key;
 }
 
@@ -104,17 +88,22 @@ struct Cluster
     size_t members = 0;
 };
 
-/**
- * Hamming distance with early exit once @p limit is exceeded
- * (returns exactly min(distance, limit + 1) on every backend).
- */
-unsigned
-boundedDistance(std::span<const uint8_t> a, std::span<const uint8_t> b,
-                unsigned limit)
+/** Whether @p a and @p b are at most @p distance bits apart (the
+ *  bounded kernel exits early past the distance). */
+bool
+within(std::span<const uint8_t> a, std::span<const uint8_t> b,
+       unsigned distance)
 {
-    return static_cast<unsigned>(
-        simd::hammingDistanceBounded(a.data(), b.data(), a.size(),
-                                     limit));
+    return simd::hammingDistanceBounded(a.data(), b.data(), a.size(),
+                                        distance) <= distance;
+}
+
+/** The bucket key of 8-byte chunk @p c of @p block: its value times 8
+ *  plus c, so chunk values match modulo 2^61. */
+uint64_t
+chunkKey(std::span<const uint8_t> block, unsigned c)
+{
+    return loadLE64(&block[8 * c]) * 8 + c;
 }
 
 /**
@@ -214,60 +203,56 @@ walkedPairs(size_t from, size_t found, size_t end)
 }
 
 /**
- * The exact-chunk buckets: one open-addressed slot per (chunk key,
- * cluster), linearly probed and never deleted, so the clusters that
- * share a chunk key come back in the order they were inserted. A
- * chunk key holds 61 bits of a raw scrambler key's 64-bit slice, so
- * every slot array is wiped before it is freed.
+ * The exact-chunk buckets: one open-addressed slot per (chunk, id),
+ * linearly probed and never deleted, so the ids that share a chunk
+ * come back in the order they were inserted. A slot keeps the low 32
+ * bits of the chunk key and the id; a match is confirmed against the
+ * id's representative, which holds the whole chunk. The 32 bits are
+ * key material, so every slot array is wiped before it is freed.
  */
 class BucketTable
 {
   public:
-    BucketTable() { reset(1024); }
+    BucketTable() : slots(1024) {}
     BucketTable(const BucketTable &) = delete;
     BucketTable &operator=(const BucketTable &) = delete;
-    ~BucketTable() { wipe(); }
+    ~BucketTable() { secureWipe(slots.data(), slots.size() * sizeof(Slot)); }
 
-    /** Whether @p more inserts would fill past three quarters. */
-    bool
-    full(size_t more) const
-    {
-        return 4 * (used + more) > 3 * slots.size();
-    }
-
-    size_t capacity() const { return slots.size(); }
-
-    /** Wipe every slot and start over with @p size slots (a power
-     *  of two). */
+    /** Add @p id under each of @p block's eight chunk keys, doubling
+     *  the table first whenever it would fill past three quarters. */
     void
-    reset(size_t size)
+    insertChunks(std::span<const uint8_t> block, uint32_t id)
     {
-        wipe();
-        std::vector<Slot>(size).swap(slots);
-        used = 0;
-        shift = 64 - static_cast<unsigned>(std::countr_zero(size));
+        for (unsigned c = 0; c < 8; ++c) {
+            if (4 * (used + 1) > 3 * slots.size())
+                grow();
+            put(static_cast<uint32_t>(chunkKey(block, c)), id);
+        }
     }
 
-    void
-    insert(uint64_t key, uint32_t cluster)
-    {
-        size_t i = home(key);
-        while (slots[i].cluster != kEmpty)
-            i = (i + 1) & (slots.size() - 1);
-        slots[i] = {key, cluster};
-        ++used;
-    }
-
-    /** The first cluster under @p key, in insertion order, for which
-     *  @p accept holds, or SIZE_MAX. */
-    template <typename Accept>
+    /**
+     * Where an exact-chunk bucket places @p block: for chunks 0-7 in
+     * order, the ids whose representative @p repOf(id) has the same
+     * chunk key, in insertion order, the first within @p distance.
+     * SIZE_MAX when none is.
+     */
+    template <typename RepOf>
     size_t
-    first(uint64_t key, Accept &&accept) const
+    place(std::span<const uint8_t> block, RepOf &&repOf,
+          unsigned distance) const
     {
-        for (size_t i = home(key); slots[i].cluster != kEmpty;
-             i = (i + 1) & (slots.size() - 1))
-            if (slots[i].key == key && accept(slots[i].cluster))
-                return slots[i].cluster;
+        for (unsigned c = 0; c < 8; ++c) {
+            const uint64_t key = chunkKey(block, c);
+            const auto low = static_cast<uint32_t>(key);
+            for (size_t i = home(low); slots[i].id != kEmpty;
+                 i = (i + 1) & (slots.size() - 1)) {
+                if (slots[i].low != low)
+                    continue;
+                std::span<const uint8_t> rep = repOf(slots[i].id);
+                if (chunkKey(rep, c) == key && within(block, rep, distance))
+                    return slots[i].id;
+            }
+        }
         return SIZE_MAX;
     }
 
@@ -276,33 +261,58 @@ class BucketTable
 
     struct Slot
     {
-        uint64_t key = 0;
-        uint32_t cluster = kEmpty;
+        uint32_t low = 0;
+        uint32_t id = kEmpty;
     };
 
     size_t
-    home(uint64_t key) const
+    home(uint32_t low) const
     {
-        return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+        return static_cast<size_t>((low * 0x9E3779B97F4A7C15ull) >>
+                                   (64 - std::countr_zero(slots.size())));
     }
 
     void
-    wipe()
+    put(uint32_t low, uint32_t id)
     {
-        secureWipe(slots.data(), slots.size() * sizeof(Slot));
+        size_t i = home(low);
+        while (slots[i].id != kEmpty)
+            i = (i + 1) & (slots.size() - 1);
+        slots[i] = {low, id};
+        ++used;
+    }
+
+    /**
+     * Double the slots. The old slots are re-placed cyclically from an
+     * empty one, so each probe run is walked from its start and the
+     * ids under each key arrive, and land, in insertion order.
+     */
+    void
+    grow()
+    {
+        std::vector<Slot> old(2 * slots.size());
+        old.swap(slots);
+        used = 0;
+        size_t start = 0;
+        while (old[start].id != kEmpty)
+            ++start;
+        for (size_t k = 0; k < old.size(); ++k) {
+            const Slot &s = old[(start + k) & (old.size() - 1)];
+            if (s.id != kEmpty)
+                put(s.low, s.id);
+        }
+        secureWipe(old.data(), old.size() * sizeof(Slot));
     }
 
     std::vector<Slot> slots;
     size_t used = 0;
-    unsigned shift = 0;
 };
 
 /**
- * The clusters of one mining call in creation order, with their
- * representatives' prefixes in a screen and their eight 8-byte chunks
- * in the bucket table. The lookups are const, so pool workers may run
- * them while the fold is not writing; everything is wiped when the
- * set dies, whichever way the call ends.
+ * The clusters of one mining call in creation order. Reads are const,
+ * so pool workers may run them while the fold is not writing; the
+ * representatives are wiped when the set dies, whichever way the call
+ * ends.
  */
 class ClusterSet
 {
@@ -319,57 +329,15 @@ class ClusterSet
     size_t size() const { return clusters.size(); }
     const Cluster &operator[](size_t i) const { return clusters[i]; }
 
-    /**
-     * The cluster an exact-chunk bucket places @p block in: for
-     * chunks 0-7 in order, the clusters whose representative shares
-     * the chunk in creation order, the first within distance.
-     * SIZE_MAX when none is.
-     */
-    size_t
-    bucketHome(std::span<const uint8_t> block) const
-    {
-        for (unsigned c = 0; c < 8; ++c) {
-            size_t home = buckets.first(
-                chunkKey(block, c), [&](size_t idx) {
-                    return within(block, clusters[idx].representative);
-                });
-            if (home != SIZE_MAX)
-                return home;
-        }
-        return SIZE_MAX;
-    }
-
-    /** The lowest index in [@p from, @p end) whose representative
-     *  is within distance of @p block, or SIZE_MAX. */
-    size_t
-    screenHome(std::span<const uint8_t> block, size_t from, size_t end,
-               PrefixScreen::Survivors &survivors) const
-    {
-        return screen.walk(block, from, end, distance, survivors,
-                           [&](size_t idx) {
-                               return within(
-                                   block, clusters[idx].representative);
-                           });
-    }
-
     /** A new cluster with @p block, at dump offset @p offset, as its
      *  representative. */
-    size_t
+    uint32_t
     create(std::span<const uint8_t> block, uint64_t offset)
     {
-        const size_t idx = clusters.size();
+        const auto idx = static_cast<uint32_t>(clusters.size());
         Cluster &c = clusters.emplace_back();
         std::copy(block.begin(), block.end(), c.representative.begin());
         c.first_offset = offset;
-        screen.push(block);
-        if (buckets.full(8)) {
-            // Re-insert in creation order, so each chunk key's
-            // clusters keep their order.
-            buckets.reset(2 * buckets.capacity());
-            for (size_t i = 0; i < idx; ++i)
-                insertChunks(i);
-        }
-        insertChunks(idx);
         return idx;
     }
 
@@ -378,28 +346,72 @@ class ClusterSet
     bool
     within(std::span<const uint8_t> a, std::span<const uint8_t> b) const
     {
-        return boundedDistance(a, b, distance) <= distance;
+        return attack::within(a, b, distance);
     }
 
-  private:
-    static uint64_t
-    chunkKey(std::span<const uint8_t> block, unsigned c)
+    /** Whether @p block is within distance of cluster @p idx's
+     *  representative. */
+    bool
+    near(std::span<const uint8_t> block, size_t idx) const
     {
-        return loadLE64(&block[8 * c]) * 8 + c;
-    }
-
-    void
-    insertChunks(size_t idx)
-    {
-        for (unsigned c = 0; c < 8; ++c)
-            buckets.insert(chunkKey(clusters[idx].representative, c),
-                           static_cast<uint32_t>(idx));
+        return within(block, clusters[idx].representative);
     }
 
     const unsigned distance;
+
+  private:
     /** A deque, so a representative never moves: a growing vector
      *  would free its old copies unwiped. */
     std::deque<Cluster> clusters;
+};
+
+/**
+ * The all-pairs fold's index of a ClusterSet: every representative's
+ * prefix in a screen and its eight 8-byte chunks in the bucket table.
+ * Its lookups are const, so pool workers may run them while the fold
+ * is not writing.
+ */
+class ClusterIndex
+{
+  public:
+    explicit ClusterIndex(const ClusterSet &clusters_) : clusters(clusters_)
+    {
+    }
+
+    /** Index cluster @p idx, the newest. */
+    void
+    add(uint32_t idx)
+    {
+        screen.push(clusters[idx].representative);
+        buckets.insertChunks(clusters[idx].representative, idx);
+    }
+
+    /** The cluster an exact-chunk bucket places @p block in, or
+     *  SIZE_MAX. */
+    size_t
+    bucketHome(std::span<const uint8_t> block) const
+    {
+        return buckets.place(
+            block,
+            [&](size_t idx) -> std::span<const uint8_t> {
+                return clusters[idx].representative;
+            },
+            clusters.distance);
+    }
+
+    /** The lowest index in [@p from, @p end) whose representative
+     *  is within distance of @p block, or SIZE_MAX. */
+    size_t
+    screenHome(std::span<const uint8_t> block, size_t from, size_t end,
+               PrefixScreen::Survivors &survivors) const
+    {
+        return screen.walk(
+            block, from, end, clusters.distance, survivors,
+            [&](size_t idx) { return clusters.near(block, idx); });
+    }
+
+  private:
+    const ClusterSet &clusters;
     PrefixScreen screen;
     BucketTable buckets;
 };
@@ -461,6 +473,7 @@ clusterHits(const std::deque<Hit> &hits, ClusterSet &clusters,
             exec::StagePool &pool, ClusterWork &work)
 {
     obs::ScopedSpan span("mine.cluster");
+    ClusterIndex index(clusters);
     std::vector<uint32_t> home_of(hits.size());
     std::vector<size_t> proofs(kMinerProofBatch);
     PrefixScreen::Survivors survivors;
@@ -475,15 +488,15 @@ clusterHits(const std::deque<Hit> &hits, ClusterSet &clusters,
                     for (uint64_t h = r.begin; h < r.end; ++h) {
                         std::span<const uint8_t> block = hits[h].block;
                         proofs[h - b0] =
-                            clusters.bucketHome(block) != SIZE_MAX
+                            index.bucketHome(block) != SIZE_MAX
                                 ? SIZE_MAX
-                                : clusters.screenHome(block, 0, c0,
-                                                      task_survivors);
+                                : index.screenHome(block, 0, c0,
+                                                   task_survivors);
                     }
                 });
         for (size_t h = b0; h < b1; ++h) {
             const Hit &hit = hits[h];
-            size_t home = clusters.bucketHome(hit.block);
+            size_t home = index.bucketHome(hit.block);
             if (home != SIZE_MAX) {
                 ++work.bucket_joins;
             } else {
@@ -493,16 +506,164 @@ clusterHits(const std::deque<Hit> &hits, ClusterSet &clusters,
                 if (proven)
                     home = proofs[h - b0];
                 if (home == SIZE_MAX)
-                    home = clusters.screenHome(hit.block,
-                                               proven ? c0 : 0,
-                                               clusters.size(), survivors);
+                    home = index.screenHome(hit.block, proven ? c0 : 0,
+                                            clusters.size(), survivors);
                 work.screened += walkedPairs(0, home, clusters.size());
             }
-            if (home == SIZE_MAX)
+            if (home == SIZE_MAX) {
                 home = clusters.create(hit.block, hit.offset);
+                index.add(static_cast<uint32_t>(home));
+            }
             clusters.join(home);
             home_of[h] = static_cast<uint32_t>(home);
         }
+    }
+    return home_of;
+}
+
+/**
+ * The address class of every hit, from a KeyMap fitted to the hits'
+ * own exact-chunk evidence before any clustering (DESIGN.md §15). One
+ * pass in dump order groups the hits as the buckets alone would: a hit
+ * joins the first group whose first hit an 8-byte bucket places it
+ * with (a shared chunk, within @p distance), else starts a group. The
+ * groups of two or more hits, in first-hit order, are the map's line
+ * groups, and its lines reach the last hit's. Returns each hit's slot
+ * and sets @p slots to the slot count; nothing when the map declines.
+ */
+std::optional<std::vector<uint32_t>>
+hitClasses(const std::deque<Hit> &hits, unsigned distance, size_t &slots)
+{
+    obs::ScopedSpan span("mine.fit");
+    std::vector<uint32_t> group_of(hits.size());
+    std::vector<const Hit *> firsts;
+    std::vector<uint32_t> group_size;
+    {
+        BucketTable buckets;
+        size_t h = 0;
+        for (const Hit &hit : hits) {
+            size_t g = buckets.place(
+                hit.block,
+                [&](size_t i) -> std::span<const uint8_t> {
+                    return firsts[i]->block;
+                },
+                distance);
+            if (g == SIZE_MAX) {
+                g = firsts.size();
+                firsts.push_back(&hit);
+                group_size.push_back(0);
+                buckets.insertChunks(hit.block, static_cast<uint32_t>(g));
+            }
+            ++group_size[g];
+            group_of[h++] = static_cast<uint32_t>(g);
+        }
+    }
+
+    // The lines of every group of two or more, in one array: a
+    // counting sort keeps each group's lines ascending.
+    std::vector<uint32_t> begin(firsts.size() + 1, 0);
+    for (size_t g = 0; g < firsts.size(); ++g)
+        begin[g + 1] = begin[g] + (group_size[g] > 1 ? group_size[g] : 0);
+    std::vector<uint32_t> lines(begin.back());
+    std::vector<std::span<const uint32_t>> groups;
+    for (size_t g = 0; g < firsts.size(); ++g)
+        if (group_size[g] > 1)
+            groups.emplace_back(lines.data() + begin[g], group_size[g]);
+    size_t h = 0;
+    for (const Hit &hit : hits) {
+        const uint32_t g = group_of[h++];
+        if (group_size[g] > 1)
+            lines[begin[g]++] = static_cast<uint32_t>(hit.offset / 64);
+    }
+
+    const KeyMap map(groups,
+                     static_cast<uint32_t>(hits.back().offset / 64));
+    if (!map.confident())
+        return std::nullopt;
+    slots = map.slots();
+    h = 0;
+    for (const Hit &hit : hits)
+        group_of[h++] = map.slotOf(hit.offset / 64);
+    return group_of;
+}
+
+/** The clusters of each address class, as chains in creation order. */
+struct ClassChains
+{
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    explicit ClassChains(size_t slots) : head(slots, kNone), tail(slots, kNone)
+    {
+    }
+
+    void
+    append(uint32_t cluster, uint32_t cls)
+    {
+        next.push_back(kNone);
+        (head[cls] == kNone ? head[cls] : next[tail[cls]]) = cluster;
+        tail[cls] = cluster;
+    }
+
+    /** Each class's first and last cluster (kNone: none yet). */
+    std::vector<uint32_t> head, tail;
+    /** Each cluster's next cluster of its class. */
+    std::vector<uint32_t> next;
+    /** Pairs of clusters that share a class. */
+    uint64_t pairs = 0;
+};
+
+/**
+ * clusterHits' rule restricted to each hit's address class
+ * @p class_of: a hit joins the class's first cluster an exact-chunk
+ * bucket places it in (chunks 0-7 in order, the class's clusters in
+ * creation order), else the lowest-index cluster of its class within
+ * distance, else starts a cluster, so clusters keep their global
+ * creation order. O(hits) while each class holds O(1) clusters.
+ */
+std::vector<uint32_t>
+clusterHitsByClass(const std::deque<Hit> &hits,
+                   const std::vector<uint32_t> &class_of,
+                   ClusterSet &clusters, ClassChains &chains,
+                   ClusterWork &work)
+{
+    obs::ScopedSpan span("mine.cluster");
+    constexpr uint32_t kNone = ClassChains::kNone;
+    std::vector<uint32_t> home_of(hits.size());
+    size_t h = 0;
+    for (const Hit &hit : hits) {
+        const uint32_t cls = class_of[h];
+        size_t home = SIZE_MAX;
+        for (unsigned c = 0; c < 8 && home == SIZE_MAX; ++c) {
+            const uint64_t key = chunkKey(hit.block, c);
+            for (uint32_t k = chains.head[cls]; k != kNone;
+                 k = chains.next[k])
+                if (chunkKey(clusters[k].representative, c) == key &&
+                    clusters.near(hit.block, k)) {
+                    home = k;
+                    break;
+                }
+        }
+        if (home != SIZE_MAX) {
+            ++work.bucket_joins;
+        } else {
+            uint64_t compared = 0;
+            for (uint32_t k = chains.head[cls];
+                 k != kNone && home == SIZE_MAX; k = chains.next[k]) {
+                ++compared;
+                if (clusters.near(hit.block, k))
+                    home = k;
+            }
+            work.screened += compared;
+            if (home == SIZE_MAX) {
+                // Compared with every cluster of its class, each of
+                // which the merge compares it with once more.
+                chains.pairs += compared;
+                home = clusters.create(hit.block, hit.offset);
+                chains.append(static_cast<uint32_t>(home), cls);
+            }
+        }
+        clusters.join(home);
+        home_of[h++] = static_cast<uint32_t>(home);
     }
     return home_of;
 }
@@ -537,10 +698,7 @@ majorityKeys(const std::deque<Hit> &hits,
                 auto copyAt = [&](size_t k) -> std::span<const uint8_t> {
                     return hits[mine[k]].block;
                 };
-                const size_t count = clusters[c].members;
-                majorities[c] = count <= UINT16_MAX
-                                    ? majorityOf<uint16_t>(count, copyAt)
-                                    : majorityOf<uint64_t>(count, copyAt);
+                majorities[c] = majorityOf(clusters[c].members, copyAt);
             }
         });
     return majorities;
@@ -548,31 +706,38 @@ majorityKeys(const std::deque<Hit> &hits,
 
 /**
  * For each cluster i, the clusters j > i whose majority key is within
- * @p distance of i's, ascending: one stage, the prefix screen from
- * i + 1, then the full distance.
+ * @p distance of i's, ascending: one stage. With @p chains, the later
+ * clusters of i's class; else the prefix screen from i + 1. Either
+ * way the full distance confirms.
  */
 std::vector<std::vector<uint32_t>>
 nearLaterClusters(const std::vector<std::array<uint8_t, 64>> &majorities,
                   const ClusterSet &clusters, unsigned distance,
-                  exec::StagePool &pool)
+                  const ClassChains *chains, exec::StagePool &pool)
 {
     const size_t n = majorities.size();
     PrefixScreen screen;
-    for (const auto &m : majorities)
-        screen.push(m);
+    if (!chains)
+        for (const auto &m : majorities)
+            screen.push(m);
     std::vector<std::vector<uint32_t>> near(n);
     exec::parallelForChunks(
         pool, 0, n, kMergeRows, [&](const exec::ChunkRange &r) {
             PrefixScreen::Survivors task_survivors;
-            for (uint64_t i = r.begin; i < r.end; ++i)
-                screen.walk(majorities[i], i + 1, n, distance,
-                            task_survivors, [&](size_t j) {
-                                if (clusters.within(majorities[i],
-                                                    majorities[j]))
-                                    near[i].push_back(
-                                        static_cast<uint32_t>(j));
-                                return false;
-                            });
+            for (uint64_t i = r.begin; i < r.end; ++i) {
+                auto confirm = [&](size_t j) {
+                    if (clusters.within(majorities[i], majorities[j]))
+                        near[i].push_back(static_cast<uint32_t>(j));
+                    return false;
+                };
+                if (chains)
+                    for (uint32_t j = chains->next[i];
+                         j != ClassChains::kNone; j = chains->next[j])
+                        confirm(j);
+                else
+                    screen.walk(majorities[i], i + 1, n, distance,
+                                task_survivors, confirm);
+            }
         });
     return near;
 }
@@ -613,8 +778,9 @@ mineScramblerKeys(const exec::DumpSource &dump,
         "litmus hits placed in a cluster by an exact-chunk bucket");
     obs::Counter &c_screened = registry.counter(
         "attack.miner.screened",
-        "(block, representative) and (key, key) pairs handed to the "
-        "prefix screen by the novelty proofs and the merge pass");
+        "(block, representative) and (key, key) pairs the novelty "
+        "proofs and the merge pass compare: all-pairs, as handed to "
+        "the prefix screen; by address class, one by one");
     obs::Counter &c_merges = registry.counter(
         "attack.miner.merges", "clusters merged into an earlier one");
     obs::ScopedTimer timer(registry.distribution(
@@ -665,25 +831,50 @@ mineScramblerKeys(const exec::DumpSource &dump,
             hits.insert(hits.end(), h.hits.begin(), h.hits.end());
         });
 
+    // From kMinerStageClusters hits, where the all-pairs fold would
+    // start proving in stages, cluster within address classes when
+    // the hits' own evidence fits a confident map; a declined map
+    // leaves the all-pairs fold (DESIGN.md §15).
     ClusterSet clusters(params.cluster_distance);
-    const std::vector<uint32_t> home_of =
-        clusterHits(hits, clusters, pool, work);
+    std::optional<ClassChains> chains;
+    std::optional<std::vector<uint32_t>> class_of;
+    size_t slots = 0;
+    if (record_lines && hits.size() >= kMinerStageClusters)
+        class_of = hitClasses(hits, params.cluster_distance, slots);
+    std::vector<uint32_t> home_of;
+    if (class_of) {
+        chains.emplace(slots);
+        home_of = clusterHitsByClass(hits, *class_of, clusters, *chains,
+                                     work);
+    } else {
+        home_of = clusterHits(hits, clusters, pool, work);
+    }
 
     // Merge clusters whose majority keys ended up close (decay can
     // split one key across clusters when early copies were noisy):
-    // the walk replays the all-pairs merge loop on the near lists.
+    // the walk replays the all-pairs merge loop on the near lists,
+    // which on the class path hold the same class only.
     obs::ScopedSpan merge_span("mine.merge");
     const size_t n = clusters.size();
     exec::StagePool serial(1);
     exec::StagePool &merge_pool = n >= kMinerStageClusters ? pool : serial;
     auto majorities = majorityKeys(hits, home_of, clusters, merge_pool);
-    const auto near = nearLaterClusters(majorities, clusters,
-                                        params.cluster_distance,
-                                        merge_pool);
+    const auto near =
+        nearLaterClusters(majorities, clusters, params.cluster_distance,
+                          chains ? &*chains : nullptr, merge_pool);
+    if (chains)
+        work.screened += chains->pairs;
 
-    std::vector<MinedKey> out;
+    // Each reported key's majority, count and first offset, in walk
+    // order, and the reported key each cluster ended in (SIZE_MAX:
+    // dropped).
+    struct Reported
+    {
+        size_t leader, occurrences;
+        uint64_t first;
+    };
+    std::vector<Reported> reported;
     std::vector<bool> merged(n, false);
-    // The reported key each cluster ended in (SIZE_MAX: dropped).
     std::vector<size_t> owner(n, SIZE_MAX);
     std::vector<size_t> group;
     for (size_t i = 0; i < n; ++i) {
@@ -704,7 +895,8 @@ mineScramblerKeys(const exec::DumpSource &dump,
             while (it != list.end() && merged[*it])
                 ++it;
             size_t j = it == list.end() ? SIZE_MAX : *it;
-            work.screened += walkedPairs(from, j, n);
+            if (!chains)
+                work.screened += walkedPairs(from, j, n);
             return j;
         };
         for (size_t j = next(i + 1); j != SIZE_MAX; j = next(j + 1)) {
@@ -719,26 +911,43 @@ mineScramblerKeys(const exec::DumpSource &dump,
         }
         if (occurrences >= params.min_occurrences) {
             for (size_t c : group)
-                owner[c] = out.size();
-            out.push_back(MinedKey{majorities[leader], occurrences, first});
-            if (record_lines)
-                out.back().lines.reserve(occurrences);
+                owner[c] = reported.size();
+            reported.push_back({leader, occurrences, first});
         }
+    }
+
+    // Rank by descending count. Sorting (count, walk index) pairs
+    // makes the comparisons sorting the keys would, so ties keep that
+    // order, and each key is built once, in place.
+    std::vector<std::pair<size_t, size_t>> order;
+    order.reserve(reported.size());
+    for (size_t w = 0; w < reported.size(); ++w)
+        order.emplace_back(reported[w].occurrences, w);
+    std::sort(order.begin(), order.end(),
+              [](const auto &a, const auto &b) { return a.first > b.first; });
+    std::vector<size_t> rank(reported.size());
+    std::vector<MinedKey> out;
+    out.reserve(reported.size());
+    for (const auto &[occurrences, w] : order) {
+        rank[w] = out.size();
+        out.emplace_back(majorities[reported[w].leader], occurrences,
+                         reported[w].first);
+        if (record_lines)
+            out.back().lines.reserve(occurrences);
     }
     // Split the scan-order hits once: each key's lines come out
     // ascending, merged clusters' included. Line indices are 32-bit:
     // a dump of 256 GiB or more mines keys without lines, and its
     // address map declines.
-    if (record_lines)
-        for (size_t h = 0; h < hits.size(); ++h)
-            if (owner[home_of[h]] != SIZE_MAX)
-                out[owner[home_of[h]]].lines.push_back(
-                    static_cast<uint32_t>(hits[h].offset / 64));
-
-    std::sort(out.begin(), out.end(),
-              [](const MinedKey &a, const MinedKey &b) {
-                  return a.occurrences > b.occurrences;
-              });
+    if (record_lines) {
+        size_t h = 0;
+        for (const Hit &hit : hits) {
+            const size_t w = owner[home_of[h++]];
+            if (w != SIZE_MAX)
+                out[rank[w]].lines.push_back(
+                    static_cast<uint32_t>(hit.offset / 64));
+        }
+    }
 
     // Scrub the majority keys before they are freed; the hits,
     // clusters, screens and bucket table scrub themselves, and the

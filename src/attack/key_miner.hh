@@ -106,7 +106,9 @@ inline constexpr size_t kMinerProofBatch = 1024;
 
 /** Clusters from which the miner's proof and merge stages run on the
  *  pool; below it they run on the calling thread, and a batch that
- *  starts with fewer clusters is proved in the fold itself. */
+ *  starts with fewer clusters is proved in the fold itself. Also the
+ *  hit count from which the miner fits the address map before it
+ *  clusters. */
 inline constexpr size_t kMinerStageClusters = 512;
 
 /** Dump bytes mineScramblerKeys() scans: the scan limit, line
@@ -118,14 +120,20 @@ uint64_t minerScanBytes(const exec::DumpSource &dump,
  * Mine candidate scrambler keys from a dump.
  *
  * The block scan is an exec::scanDump stage ("mine.scan") that
- * collects litmus hits in ascending dump order. The hits are then
- * clustered in that order in batches of kMinerProofBatch
- * ("mine.cluster"), and the clusters' majority keys are merged
- * ("mine.merge"). The novelty proofs, the majorities and the merge
- * screen run as pool stages whose results the fold consumes in
- * order, so the reported keys, their lines and the clustering
- * counters are byte-identical to a sequential run at any pool width
- * (see DESIGN.md §9 and §15).
+ * collects litmus hits in ascending dump order. From
+ * kMinerStageClusters hits, the miner first fits a KeyMap to the hits
+ * that exact-chunk buckets place together ("mine.fit"); when it is
+ * confident, each hit is clustered only with its own address class's
+ * clusters and the merge compares only within a class, in O(hits).
+ * Otherwise the hits are clustered against all earlier clusters, in
+ * batches of kMinerProofBatch ("mine.cluster"). Either way the
+ * clusters' majority keys are then merged ("mine.merge"). The class
+ * path reports the all-pairs path's keys unless two classes hold
+ * clusters within cluster_distance (DESIGN.md §15). The novelty
+ * proofs, the majorities and the merge screen run as pool stages
+ * whose results the fold consumes in order, so the reported keys,
+ * their lines and the clustering counters are byte-identical to a
+ * sequential run at any pool width (see DESIGN.md §9 and §15).
  *
  * @param dump   Scrambled dump (any DumpSource backend).
  * @param params Tuning parameters.

@@ -1,9 +1,11 @@
 #include "crypto/aes.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/secure.hh"
 
 namespace coldboot::crypto
 {
@@ -161,7 +163,9 @@ aesExpandKey(std::span<const uint8_t> key)
     unsigned total_words =
         static_cast<unsigned>(aesScheduleBytes(ks)) / 4;
 
-    std::vector<uint32_t> w(total_words);
+    // At most 60 words (AES-256), wiped before they go out of scope;
+    // the returned schedule is the caller's to wipe.
+    uint32_t w[60];
     for (unsigned i = 0; i < nk; ++i)
         w[i] = aesWordFromBytes(&key[4 * i]);
     for (unsigned i = nk; i < total_words; ++i)
@@ -170,6 +174,7 @@ aesExpandKey(std::span<const uint8_t> key)
     std::vector<uint8_t> out(4 * total_words);
     for (unsigned i = 0; i < total_words; ++i)
         aesBytesFromWord(w[i], &out[4 * i]);
+    secureWipe(w, sizeof(w));
     return out;
 }
 
@@ -180,10 +185,12 @@ aesScheduleContinue(std::span<const uint32_t> window, unsigned i0,
     cb_assert(window.size() == nk,
               "aesScheduleContinue: window must hold exactly Nk=%u "
               "words, got %zu", nk, window.size());
+    cb_assert(nk <= 8, "aesScheduleContinue: Nk=%u > 8", nk);
     cb_assert(i0 >= nk, "aesScheduleContinue: i0=%u < nk=%u", i0, nk);
 
-    // Rolling window of the last Nk words.
-    std::vector<uint32_t> last(window.begin(), window.end());
+    // Rolling window of the last Nk (at most 8) words, wiped after.
+    uint32_t last[8];
+    std::copy(window.begin(), window.end(), last);
     std::vector<uint32_t> out;
     out.reserve(count);
     for (unsigned k = 0; k < count; ++k) {
@@ -195,6 +202,7 @@ aesScheduleContinue(std::span<const uint32_t> window, unsigned i0,
             last[j] = last[j + 1];
         last[nk - 1] = next;
     }
+    secureWipe(last, sizeof(last));
     return out;
 }
 
@@ -205,12 +213,14 @@ aesScheduleBackward(std::span<const uint32_t> window, unsigned i0,
     cb_assert(window.size() == nk,
               "aesScheduleBackward: window must hold exactly Nk=%u "
               "words, got %zu", nk, window.size());
+    cb_assert(nk <= 8, "aesScheduleBackward: Nk=%u > 8", nk);
     cb_assert(i0 >= count, "aesScheduleBackward: i0=%u < count=%u",
               i0, count);
 
-    // Rolling window holding words w[j+1 .. j+nk]; initially
-    // j+1 == i0. Recover w[j], slide down, repeat.
-    std::vector<uint32_t> win(window.begin(), window.end());
+    // Rolling window holding words w[j+1 .. j+nk] (Nk <= 8), wiped
+    // after; initially j+1 == i0. Recover w[j], slide down, repeat.
+    uint32_t win[8];
+    std::copy(window.begin(), window.end(), win);
     std::vector<uint32_t> out(count);
     for (unsigned k = 0; k < count; ++k) {
         unsigned j = i0 - 1 - k;
@@ -223,6 +233,7 @@ aesScheduleBackward(std::span<const uint32_t> window, unsigned i0,
             win[m] = win[m - 1];
         win[0] = wj;
     }
+    secureWipe(win, sizeof(win));
     return out;
 }
 

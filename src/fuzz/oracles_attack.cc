@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstring>
 #include <string>
+#include <unordered_map>
 
 #include "attack/aes_search.hh"
 #include "attack/key_map.hh"
@@ -166,9 +167,9 @@ unsigned
 plainDistance(std::span<const uint8_t> a, std::span<const uint8_t> b)
 {
     unsigned d = 0;
-    for (size_t i = 0; i < 64; ++i)
+    for (size_t i = 0; i < 64; i += 8)
         d += static_cast<unsigned>(
-            std::popcount(static_cast<unsigned>(a[i] ^ b[i])));
+            std::popcount(loadLE64(&a[i]) ^ loadLE64(&b[i])));
     return d;
 }
 
@@ -582,6 +583,201 @@ class MinerClusterExactOracle final : public Oracle
         if (staged_batches > 0)
             res.feature(5); // a proof batch was proved in a stage
         res.feature(mp.cluster_distance == 80 ? 3 : 4);
+        return res;
+    }
+};
+
+/**
+ * Whether the miner clusters @p bytes by address class, its
+ * map-first gate written plainly: from kMinerStageClusters hits, the
+ * hits go into groups as the exact-chunk buckets alone place them
+ * (with the first earlier group whose first hit shares a chunk,
+ * modulo 2^61, and lies within distance), and KeyMap fits the groups
+ * of two or more over every hit's line.
+ */
+bool
+referenceClassPath(const std::vector<uint8_t> &bytes, const MinerParams &mp)
+{
+    std::vector<uint64_t> hits;
+    for (uint64_t off = 0; off + 64 <= bytes.size(); off += 64) {
+        std::span<const uint8_t> block(&bytes[off], 64);
+        if (attack::scramblerKeyLitmus(block, mp.litmus_max_bit_errors) &&
+            !(mp.drop_constant_blocks && attack::isConstantBlock(block)))
+            hits.push_back(off);
+    }
+    if (hits.size() < attack::kMinerStageClusters)
+        return false;
+    std::unordered_map<uint64_t, std::vector<size_t>> buckets;
+    std::vector<uint64_t> firsts;
+    std::vector<std::vector<uint32_t>> lines;
+    for (uint64_t off : hits) {
+        std::span<const uint8_t> block(&bytes[off], 64);
+        auto key = [&](unsigned c) {
+            return (loadLE64(&block[8 * c]) << 3) | c;
+        };
+        size_t home = SIZE_MAX;
+        for (unsigned c = 0; c < 8 && home == SIZE_MAX; ++c) {
+            auto bucket = buckets.find(key(c));
+            if (bucket == buckets.end())
+                continue;
+            for (size_t g : bucket->second)
+                if (plainDistance(block, {&bytes[firsts[g]], 64}) <=
+                    mp.cluster_distance) {
+                    home = g;
+                    break;
+                }
+        }
+        if (home == SIZE_MAX) {
+            home = firsts.size();
+            firsts.push_back(off);
+            lines.emplace_back();
+            for (unsigned c = 0; c < 8; ++c)
+                buckets[key(c)].push_back(home);
+        }
+        lines[home].push_back(static_cast<uint32_t>(off / 64));
+    }
+    std::vector<std::span<const uint32_t>> groups;
+    for (const auto &l : lines)
+        if (l.size() > 1)
+            groups.emplace_back(l);
+    return attack::KeyMap(groups, static_cast<uint32_t>(hits.back() / 64))
+        .confident();
+}
+
+/**
+ * miner-map-first: on address-keyed dumps (FuzzDumpSpec::address_keyed,
+ * 1-4 MiB, 3-20 % zero lines, 0-5 % decay) the miner, which clusters
+ * each hit only with its own address class's clusters once the hits'
+ * own evidence fits a confident map, reports the keys, occurrence
+ * counts, first offsets and lines of the plain all-pairs loops
+ * (referenceMine) at cluster distances 40-160. Some classes hold a
+ * key split in two clusters that only the merge pass joins. Mutations
+ * may copy a hit to any line, across classes, but never move or
+ * overwrite one: a hit moved to another class with no chunk in common
+ * with its key's other copies is outside the map-first contract
+ * (DESIGN.md §15).
+ */
+class MinerMapFirstOracle final : public Oracle
+{
+  public:
+    const char *name() const override { return "miner-map-first"; }
+
+    const char *
+    description() const override
+    {
+        return "on address-keyed dumps the map-first miner reports the "
+               "keys, counts, offsets and lines of plain all-pairs "
+               "loops";
+    }
+
+    unsigned smokeStride() const override { return 8; }
+
+    OracleResult
+    run(const FuzzCaseParams &params) const override
+    {
+        OracleResult res;
+        CaseRng rng(params.seed);
+
+        FuzzDumpSpec spec;
+        spec.bytes = uint64_t{1024 * 1024}
+                     << (params.scale + rng.below(3));
+        spec.address_keyed = true;
+        // At least 1,024 zero lines, so dumps with little decay hold
+        // kMinerStageClusters hits.
+        spec.zero_line_fraction =
+            std::max((30.0 + static_cast<double>(rng.below(171))) / 1000,
+                     1024.0 * 64 / static_cast<double>(spec.bytes));
+        spec.planted_keys = static_cast<unsigned>(rng.below(17));
+        spec.copies_per_key = 2 + static_cast<unsigned>(rng.below(3));
+        spec.decay_fraction =
+            rng.pick({0.0, 0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05});
+        FuzzDump dump = buildFuzzDump(rng, spec);
+
+        MinerParams mp;
+        mp.threads = 1; // cases already run in parallel
+        mp.cluster_distance = 40 + static_cast<unsigned>(rng.below(121));
+        mp.min_occurrences = rng.pick({size_t{1}, size_t{2}, size_t{3}});
+
+        // Split keys, each on four lines of one class. m1 and m2 are
+        // disjoint runs of d / 2 flip pairs, so key ^ m1 and key ^ m2
+        // lie within distance d of key and twice as far apart: key ^
+        // m1 starts a cluster, two pristine copies join it and pull
+        // its majority to key, and key ^ m2 starts a second cluster
+        // that the merge pass joins again.
+        memctrl::Ddr4Scrambler scrambler(dump.scrambler_seed, 0);
+        const uint64_t periods = spec.bytes / (4096 * 64);
+        for (uint64_t n = rng.below(4); n > 0; --n) {
+            const uint64_t index = rng.below(4096);
+            std::vector<uint64_t> lines;
+            for (uint64_t p = 0; p < periods; ++p)
+                if (rng.below(periods - p) < 4 - lines.size())
+                    lines.push_back(index + 4096 * p);
+            std::array<uint8_t, 64> key;
+            scrambler.lineKey(lines[0] * 64, key.data());
+            std::vector<unsigned> order(256);
+            for (unsigned i = 0; i < 256; ++i)
+                order[i] = i;
+            for (size_t i = 255; i > 0; --i)
+                std::swap(order[i], order[rng.below(i + 1)]);
+            const unsigned pairs = mp.cluster_distance / 2;
+            auto split = key, far = key;
+            for (unsigned p = 0; p < pairs; ++p) {
+                flipPair(split, order[p]);
+                flipPair(far, order[pairs + p]);
+            }
+            const std::array<uint8_t, 64> *blocks[] = {&split, &key, &key,
+                                                        &far};
+            for (size_t k = 0; k < 4; ++k)
+                std::copy(blocks[k]->begin(), blocks[k]->end(),
+                          &dump.bytes[lines[k] * 64]);
+        }
+
+        std::vector<ProtectedRegion> hits;
+        for (uint64_t off = 0; off < dump.bytes.size(); off += 64)
+            if (attack::scramblerKeyLitmus({&dump.bytes[off], 64},
+                                           mp.litmus_max_bit_errors))
+                hits.push_back({off, off + 64});
+        mutateBytes(dump.bytes, rng, params.energy * 4, hits);
+
+        attack::MinerStats stats;
+        exec::MemoryDumpSource source(dump.bytes);
+        auto mined = attack::mineScramblerKeys(source, mp, &stats);
+        size_t clusters = 0, merges = 0, staged_batches = 0;
+        auto want = referenceMine(dump.bytes, mp, clusters, merges,
+                                  staged_batches);
+
+        size_t i = 0;
+        while (i < mined.size() && i < want.size() &&
+               mined[i].key == want[i].key &&
+               mined[i].occurrences == want[i].occurrences &&
+               mined[i].first_offset == want[i].first_offset &&
+               mined[i].lines == want[i].lines)
+            ++i;
+        const bool by_class = referenceClassPath(dump.bytes, mp);
+        if (i != mined.size() || i != want.size() ||
+            stats.clusters != clusters) {
+            res.fail(std::string("miner (") +
+                     (by_class ? "class path" : "all-pairs path") +
+                     ") reports " + std::to_string(mined.size()) +
+                     " keys from " + std::to_string(stats.clusters) +
+                     " clusters, the plain loops " +
+                     std::to_string(want.size()) + " from " +
+                     std::to_string(clusters) +
+                     "; first difference at key " + std::to_string(i) +
+                     " (distance " +
+                     std::to_string(mp.cluster_distance) + ")");
+            return res;
+        }
+        if (by_class)
+            res.feature(1); // clustered by address class
+        else if (stats.litmus_hits >= attack::kMinerStageClusters)
+            res.feature(2); // enough hits, but the map declined
+        else
+            res.feature(3); // too few hits for the class path
+        if (merges > 0)
+            res.feature(4); // the merge pass fired
+        res.feature(10 + static_cast<uint32_t>(spec.decay_fraction * 100));
+        res.feature(mp.cluster_distance <= 80 ? 20 : 21);
         return res;
     }
 };
@@ -1042,6 +1238,7 @@ class ParallelFingerprintOracle final : public Oracle
 
 const MinerPlantedKeysOracle miner_oracle;
 const MinerClusterExactOracle cluster_oracle;
+const MinerMapFirstOracle map_first_oracle;
 const SearchPlantedScheduleOracle search_oracle;
 const SearchPrefilterExactOracle prefilter_oracle;
 const SearchRoutedExactOracle routed_oracle;
@@ -1054,6 +1251,7 @@ registerAttackOracles(std::vector<const Oracle *> &out)
 {
     out.push_back(&miner_oracle);
     out.push_back(&cluster_oracle);
+    out.push_back(&map_first_oracle);
     out.push_back(&search_oracle);
     out.push_back(&prefilter_oracle);
     out.push_back(&routed_oracle);

@@ -109,8 +109,8 @@ main(int argc, char **argv)
               "campaign found no violations");
         const auto *oracles = doc->find("oracles");
         check(oracles && oracles->isArray() &&
-                  oracles->array.size() == 14,
-              "report covers all 14 oracles");
+                  oracles->array.size() == 15,
+              "report covers all 15 oracles");
         if (oracles && oracles->isArray())
             for (const auto &o : oracles->array) {
                 const auto *cases = o.find("cases");

@@ -178,6 +178,29 @@ withRowPairFlips(std::array<uint8_t, 64> key, unsigned first,
     return key;
 }
 
+/** The clustering work one mining call counts: bucket joins, screened
+ *  pairs and merges, as registry deltas. */
+struct ClusteringWork
+{
+    uint64_t joins = 0, screened = 0, merges = 0;
+};
+
+std::vector<MinedKey>
+mineCountingWork(const MemoryImage &dump, MinerStats &stats,
+                 ClusteringWork &work)
+{
+    auto &registry = obs::StatRegistry::global();
+    auto &joins = registry.counter("attack.miner.bucket_joins");
+    auto &screened = registry.counter("attack.miner.screened");
+    auto &merges = registry.counter("attack.miner.merges");
+    const uint64_t joins0 = joins.value(), screened0 = screened.value(),
+                   merges0 = merges.value();
+    auto mined = mineScramblerKeys(dump, {}, &stats);
+    work = {joins.value() - joins0, screened.value() - screened0,
+            merges.value() - merges0};
+    return mined;
+}
+
 TEST(KeyMiner, CountsClusteringWork)
 {
     memctrl::Ddr4Scrambler scr(0xC0DE, 0);
@@ -189,6 +212,7 @@ TEST(KeyMiner, CountsClusteringWork)
     auto split1 = withRowPairFlips(k, 0, 30);
     auto split2 = withRowPairFlips(k, 32, 30);
 
+    // All pairs: seven hits, under the map-first gate.
     MemoryImage dump(KiB(64));
     auto bytes = dump.bytesMutable();
     Xoshiro256StarStar rng(3);
@@ -203,24 +227,18 @@ TEST(KeyMiner, CountsClusteringWork)
         std::copy(order[n]->begin(), order[n]->end(),
                   &bytes[(50 * n + 1) * 64]);
 
-    auto &registry = obs::StatRegistry::global();
-    auto &joins = registry.counter("attack.miner.bucket_joins");
-    auto &screened = registry.counter("attack.miner.screened");
-    auto &merges = registry.counter("attack.miner.merges");
-    const uint64_t joins0 = joins.value(), screened0 = screened.value(),
-                   merges0 = merges.value();
     MinerStats stats;
-    auto mined = mineScramblerKeys(dump, {}, &stats);
-
+    ClusteringWork work;
+    auto mined = mineCountingWork(dump, stats, work);
     EXPECT_EQ(stats.litmus_hits, 7u);
     EXPECT_EQ(stats.clusters, 3u);
     // The later copies of a share its chunks; nothing else does.
-    EXPECT_EQ(joins.value() - joins0, 2u);
+    EXPECT_EQ(work.joins, 2u);
     // Novelty proofs of the other five hits against 0, 1, 2, 2 and 2
     // representatives, then the merge pass: a against both later
     // majorities, k against the last.
-    EXPECT_EQ(screened.value() - screened0, 10u);
-    EXPECT_EQ(merges.value() - merges0, 1u);
+    EXPECT_EQ(work.screened, 10u);
+    EXPECT_EQ(work.merges, 1u);
 
     ASSERT_EQ(mined.size(), 2u);
     EXPECT_EQ(mined[0].key, k);
@@ -229,6 +247,52 @@ TEST(KeyMiner, CountsClusteringWork)
     EXPECT_EQ(mined[1].key, a);
     EXPECT_EQ(mined[1].occurrences, 3u);
     EXPECT_EQ(mined[1].first_offset, 64u);
+
+    // By address class: a 1 MiB capture whose lines 4,096 apart share
+    // a key. 150 keys have a pristine copy in each of the four key
+    // periods, 600 hits, enough for the miner to fit the address map
+    // first; the four lines of one class hold the split key above.
+    MemoryImage capture(MiB(1));
+    auto lines = capture.bytesMutable();
+    rng.fillBytes(lines);
+    auto keyAt = [&](uint64_t line) {
+        std::array<uint8_t, 64> key;
+        scr.lineKey(64 * line, key.data());
+        return key;
+    };
+    auto put = [&](uint64_t line, const std::array<uint8_t, 64> &block) {
+        std::copy(block.begin(), block.end(), &lines[64 * line]);
+    };
+    for (uint64_t i = 0; i < 150; ++i)
+        for (uint64_t p = 0; p < 4; ++p)
+            put(i + 4096 * p, keyAt(i));
+    const uint64_t c = 1000;
+    const auto kc = keyAt(c);
+    put(c, withRowPairFlips(kc, 0, 30));
+    put(c + 4096, kc);
+    put(c + 8192, kc);
+    put(c + 12288, withRowPairFlips(kc, 32, 30));
+
+    mined = mineCountingWork(capture, stats, work);
+    EXPECT_EQ(stats.litmus_hits, 604u);
+    EXPECT_EQ(stats.clusters, 152u);
+    // Three later copies of each of the 150 keys.
+    EXPECT_EQ(work.joins, 450u);
+    // Only the split class compares: both copies of kc and kc ^ m2
+    // with kc ^ m1's cluster in the fold, then that cluster with
+    // kc ^ m2's in the merge. The all-pairs path would screen every
+    // new cluster against all earlier ones.
+    EXPECT_EQ(work.screened, 4u);
+    EXPECT_EQ(work.merges, 1u);
+
+    ASSERT_EQ(mined.size(), 151u);
+    auto split = std::find_if(mined.begin(), mined.end(),
+                              [&](const MinedKey &m) { return m.key == kc; });
+    ASSERT_NE(split, mined.end());
+    EXPECT_EQ(split->lines,
+              (std::vector<uint32_t>{1000, 5096, 9192, 13288}));
+    for (const auto &m : mined)
+        EXPECT_EQ(m.occurrences, 4u);
 }
 
 //
@@ -728,33 +792,57 @@ minerFingerprint(const MemoryImage &dump, const MinerParams &params)
 
 TEST(KeyMiner, ClusteringIdenticalAcrossWidthsAndSimdBackends)
 {
-    // 4,097 clusters: the proof and merge stages run on the pool at
-    // widths 4 and 0, in-line at width 1.
+    // The Skylake capture's 4,097 clusters fold by address class; a
+    // dump of keys planted at random lines, whose map declines, folds
+    // all pairs with the proof stages. Either way the majority and
+    // merge stages run on the pool at widths 4 and 0, in-line at
+    // width 1.
     const auto &c = skylakeCapture();
     ASSERT_GT(c.mined.size(), kMinerStageClusters);
+    fuzz::CaseRng rng(6);
+    fuzz::FuzzDumpSpec spec;
+    spec.bytes = MiB(1);
+    spec.planted_keys = 700;
+    spec.copies_per_key = 3;
+    spec.zero_line_fraction = 0;
+    const MemoryImage scattered(fuzz::buildFuzzDump(rng, spec).bytes);
+    auto &screened =
+        obs::StatRegistry::global().counter("attack.miner.screened");
+    const uint64_t screened0 = screened.value();
+    const auto scattered_keys = mineScramblerKeys(scattered);
+    ASSERT_GT(scattered_keys.size(), kMinerStageClusters);
+    ASSERT_FALSE(KeyMap(scattered_keys).confident());
+    // The all-pairs proofs screen each new cluster against the earlier
+    // ones: far more pairs than clusters.
+    EXPECT_GT(screened.value() - screened0,
+              kMinerStageClusters * scattered_keys.size() / 2);
+
     auto &tasks =
         obs::StatRegistry::global().counter("exec.pool.tasks_executed");
-    std::string reference;
-    for (unsigned i = 0; i < simd::kBackendCount; ++i) {
-        auto be = static_cast<simd::Backend>(i);
-        if (!simd::backendUsable(be))
-            continue;
-        simd::ScopedBackend forced(be);
-        ASSERT_TRUE(forced.active());
-        for (unsigned w : {1u, 4u, 0u}) {
-            MinerParams params;
-            params.threads = w;
-            const uint64_t tasks0 = tasks.value();
-            std::string fp = minerFingerprint(c.dump, params);
-            if (w == 4) { // more tasks than the scan's 1 MiB chunks
-                EXPECT_GT(tasks.value() - tasks0, c.dump.size() / MiB(1))
-                    << simd::backendName(be);
+    for (const MemoryImage *dump : {&c.dump, &scattered}) {
+        std::string reference;
+        for (unsigned i = 0; i < simd::kBackendCount; ++i) {
+            auto be = static_cast<simd::Backend>(i);
+            if (!simd::backendUsable(be))
+                continue;
+            simd::ScopedBackend forced(be);
+            ASSERT_TRUE(forced.active());
+            for (unsigned w : {1u, 4u, 0u}) {
+                MinerParams params;
+                params.threads = w;
+                const uint64_t tasks0 = tasks.value();
+                std::string fp = minerFingerprint(*dump, params);
+                if (w == 4) { // more tasks than the scan's 1 MiB chunks
+                    EXPECT_GT(tasks.value() - tasks0,
+                              dump->size() / MiB(1))
+                        << simd::backendName(be);
+                }
+                if (reference.empty())
+                    reference = fp;
+                else
+                    EXPECT_EQ(fp, reference)
+                        << simd::backendName(be) << " width " << w;
             }
-            if (reference.empty())
-                reference = fp;
-            else
-                EXPECT_EQ(fp, reference)
-                    << simd::backendName(be) << " width " << w;
         }
     }
 }
@@ -811,6 +899,34 @@ TEST(KeyMap, FitsTheSkylakeAddressMap)
     // every key.
     EXPECT_FALSE(map.covers(uint64_t{1} << 16));
     EXPECT_EQ(map.keysFor(uint64_t{1} << 16).size(), c.mined.size());
+}
+
+TEST(KeyMap, LineGroupsFitAsMinedKeysDo)
+{
+    // The miner fits plain line groups before it clusters: the same
+    // fit, so the same slots.
+    const auto &c = skylakeCapture();
+    std::vector<std::span<const uint32_t>> groups;
+    for (const auto &k : c.mined)
+        groups.emplace_back(k.lines);
+    const KeyMap by_keys(c.mined), by_groups(groups, 0);
+    ASSERT_TRUE(by_groups.confident());
+    EXPECT_EQ(by_groups.kernelDim(), by_keys.kernelDim());
+    EXPECT_EQ(by_groups.slots(), 4096u);
+    for (uint32_t line = 0; line < c.dump.size() / 64; ++line)
+        ASSERT_TRUE(std::ranges::equal(by_groups.keysFor(line),
+                                       by_keys.keysFor(line)))
+            << "line " << line;
+    // A top line past every group widens the fitted lines to it, so
+    // every hit's line has a slot.
+    const uint32_t top = (1u << 18) - 1;
+    EXPECT_FALSE(by_groups.covers(top));
+    const KeyMap wide(groups, top);
+    ASSERT_TRUE(wide.confident());
+    EXPECT_TRUE(wide.covers(top));
+    EXPECT_EQ(wide.slots(), 4 * by_groups.slots());
+    EXPECT_EQ(wide.slotOf(5), wide.slotOf(5 + (1u << 12)));
+    EXPECT_NE(wide.slotOf(5), wide.slotOf(5 + (1u << 16)));
 }
 
 TEST(KeyMap, MinedKeysCarryTheirLines)

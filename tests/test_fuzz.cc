@@ -399,12 +399,33 @@ TEST(Corpus, MinerClusterSeedsReachASecondTileAndAMerge)
     EXPECT_GE(seeds, 1u);
 }
 
+TEST(Corpus, MinerMapFirstSeedsTakeBothPaths)
+{
+    // The map-first miner's class path with a merge (features 1 and 4)
+    // and a declined map on enough hits (feature 2), each checked
+    // against the all-pairs reference.
+    bool class_merge = false, declined = false;
+    for (const auto &e :
+         loadCorpusDir(COLDBOOT_SOURCE_DIR "/tests/fuzz_corpus")) {
+        if (e.oracle != "miner-map-first")
+            continue;
+        OracleResult res = findOracle(e.oracle)->run(e.params);
+        EXPECT_FALSE(res.violation) << res.message;
+        std::set<uint32_t> reached(res.features.begin(),
+                                   res.features.end());
+        class_merge = class_merge || (reached.count(1) && reached.count(4));
+        declined = declined || reached.count(2);
+    }
+    EXPECT_TRUE(class_merge);
+    EXPECT_TRUE(declined);
+}
+
 // ------------------------------------------------------------ registry
 
 TEST(OracleRegistry, CatalogueIsWellFormed)
 {
     const auto &oracles = allOracles();
-    ASSERT_EQ(oracles.size(), 14u);
+    ASSERT_EQ(oracles.size(), 15u);
     std::set<std::string> names;
     for (const Oracle *o : oracles) {
         EXPECT_TRUE(names.insert(o->name()).second)
