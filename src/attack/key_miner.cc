@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
-#include <optional>
 
 #include "common/bits.hh"
 #include "attack/key_map.hh"
@@ -107,108 +106,13 @@ chunkKey(std::span<const uint8_t> block, unsigned c)
 }
 
 /**
- * The first 192 bits of a growing list of 64-byte keys, held as six
- * little-endian 32-bit words in the structure-of-arrays tiles that
- * simd::syndromeScreen reads (DESIGN.md §15). A prefix distance never
- * exceeds the full distance, so the screen is an exact lower bound:
- * every key within the budget survives it, and confirming survivors
- * in index order finds the lowest index within the budget. On random
- * keys about 1 % of prefixes survive a budget of 80 bits.
- */
-class PrefixScreen
-{
-  public:
-    /** 6 KiB per tile: a served 1 MiB capture (~30 clusters) needs
-     *  one, and a 4,096-key dump 16 screen calls per proof. */
-    static constexpr size_t kTileKeys = 256;
-    /** One walk's survivors of one tile; every walker owns one. */
-    using Survivors = std::array<uint32_t, kTileKeys>;
-
-    PrefixScreen() = default;
-    PrefixScreen(const PrefixScreen &) = delete;
-    PrefixScreen &operator=(const PrefixScreen &) = delete;
-    ~PrefixScreen()
-    {
-        for (auto &tile : tiles)
-            secureWipe(tile.data(), sizeof(tile));
-    }
-
-    void
-    push(std::span<const uint8_t> key)
-    {
-        if (count == tiles.size() * kTileKeys)
-            tiles.emplace_back();
-        uint32_t *lane =
-            tiles[count / kTileKeys].data() + count % kTileKeys;
-        for (unsigned w = 0; w < kWords; ++w)
-            lane[w * kTileKeys] = loadLE32(&key[4 * w]);
-        ++count;
-    }
-
-    /**
-     * Screen the keys [@p from, @p end) against @p key with a total
-     * budget of @p budget bits and hand the survivors' indices, in
-     * ascending order, to @p visit until it returns true. Returns
-     * that index, or SIZE_MAX. Const: walks run concurrently, each
-     * with its own @p survivors.
-     */
-    template <typename Visit>
-    size_t
-    walk(std::span<const uint8_t> key, size_t from, size_t end,
-         unsigned budget, Survivors &survivors, Visit &&visit) const
-    {
-        uint32_t prefix[kWords] = {};
-        for (unsigned w = 0; w < kWords; ++w)
-            prefix[w] = loadLE32(&key[4 * w]);
-        size_t found = SIZE_MAX;
-        while (found == SIZE_MAX && from < end) {
-            size_t lane = from % kTileKeys;
-            size_t n = std::min(kTileKeys - lane, end - from);
-            // A 32-bit word never differs in more than 32 bits, so
-            // only the total budget binds.
-            size_t passed = simd::syndromeScreen(
-                prefix, tiles[from / kTileKeys].data() + lane,
-                kTileKeys, n, kWords, 32, budget, survivors.data());
-            for (size_t s = 0; s < passed && found == SIZE_MAX; ++s)
-                if (visit(from + survivors[s]))
-                    found = from + survivors[s];
-            from += n;
-        }
-        secureWipe(prefix, sizeof(prefix));
-        return found;
-    }
-
-  private:
-    static constexpr unsigned kWords = 6;
-
-    /** A deque, so tiles are allocated one at a time, never moved. */
-    std::deque<std::array<uint32_t, kWords * kTileKeys>> tiles;
-    size_t count = 0;
-};
-
-/**
- * The pairs attack.miner.screened counts for one walk from @p from to
- * @p end that stops at @p found (SIZE_MAX: runs to the end): whole
- * tiles up to the one holding @p found, as a single walk in index
- * order hands them to the kernel. Counting that walk, not the
- * stages' split of it, keeps the counter the same at every width.
- */
-uint64_t
-walkedPairs(size_t from, size_t found, size_t end)
-{
-    constexpr size_t tile = PrefixScreen::kTileKeys;
-    size_t stop =
-        found == SIZE_MAX ? end : std::min(end, (found / tile + 1) * tile);
-    return stop - from;
-}
-
-/**
- * The exact-chunk buckets: one open-addressed slot per (chunk, id),
- * linearly probed and never deleted, so the ids that share a chunk
- * come back in the order they were inserted. A slot keeps the low 32
- * bits of the chunk key and the id; a match is confirmed against the
- * id's representative, which holds the whole chunk. The 32 bits are
- * key material, so every slot array is wiped before it is freed.
+ * The exact-chunk buckets of the map fit's evidence pass: one
+ * open-addressed slot per (chunk, id), linearly probed and never
+ * deleted, so the ids that share a chunk come back in the order they
+ * were inserted. A slot keeps the low 32 bits of the chunk key and the
+ * id; a match is confirmed against the id's block, which holds the
+ * whole chunk. The 32 bits are key material, so every slot array is
+ * wiped before it is freed.
  */
 class BucketTable
 {
@@ -232,13 +136,13 @@ class BucketTable
 
     /**
      * Where an exact-chunk bucket places @p block: for chunks 0-7 in
-     * order, the ids whose representative @p repOf(id) has the same
-     * chunk key, in insertion order, the first within @p distance.
-     * SIZE_MAX when none is.
+     * order, the ids whose block @p blockOf(id) has the same chunk
+     * key, in insertion order, the first within @p distance. SIZE_MAX
+     * when none is.
      */
-    template <typename RepOf>
+    template <typename BlockOf>
     size_t
-    place(std::span<const uint8_t> block, RepOf &&repOf,
+    place(std::span<const uint8_t> block, BlockOf &&blockOf,
           unsigned distance) const
     {
         for (unsigned c = 0; c < 8; ++c) {
@@ -248,7 +152,7 @@ class BucketTable
                  i = (i + 1) & (slots.size() - 1)) {
                 if (slots[i].low != low)
                     continue;
-                std::span<const uint8_t> rep = repOf(slots[i].id);
+                std::span<const uint8_t> rep = blockOf(slots[i].id);
                 if (chunkKey(rep, c) == key && within(block, rep, distance))
                     return slots[i].id;
             }
@@ -357,63 +261,11 @@ class ClusterSet
         return within(block, clusters[idx].representative);
     }
 
-    const unsigned distance;
-
   private:
+    const unsigned distance;
     /** A deque, so a representative never moves: a growing vector
      *  would free its old copies unwiped. */
     std::deque<Cluster> clusters;
-};
-
-/**
- * The all-pairs fold's index of a ClusterSet: every representative's
- * prefix in a screen and its eight 8-byte chunks in the bucket table.
- * Its lookups are const, so pool workers may run them while the fold
- * is not writing.
- */
-class ClusterIndex
-{
-  public:
-    explicit ClusterIndex(const ClusterSet &clusters_) : clusters(clusters_)
-    {
-    }
-
-    /** Index cluster @p idx, the newest. */
-    void
-    add(uint32_t idx)
-    {
-        screen.push(clusters[idx].representative);
-        buckets.insertChunks(clusters[idx].representative, idx);
-    }
-
-    /** The cluster an exact-chunk bucket places @p block in, or
-     *  SIZE_MAX. */
-    size_t
-    bucketHome(std::span<const uint8_t> block) const
-    {
-        return buckets.place(
-            block,
-            [&](size_t idx) -> std::span<const uint8_t> {
-                return clusters[idx].representative;
-            },
-            clusters.distance);
-    }
-
-    /** The lowest index in [@p from, @p end) whose representative
-     *  is within distance of @p block, or SIZE_MAX. */
-    size_t
-    screenHome(std::span<const uint8_t> block, size_t from, size_t end,
-               PrefixScreen::Survivors &survivors) const
-    {
-        return screen.walk(
-            block, from, end, clusters.distance, survivors,
-            [&](size_t idx) { return clusters.near(block, idx); });
-    }
-
-  private:
-    const ClusterSet &clusters;
-    PrefixScreen screen;
-    BucketTable buckets;
 };
 
 /** One litmus hit: its dump offset and a copy of its block, wiped
@@ -443,9 +295,7 @@ struct ChunkHits
 
 /** Scan granularity: 16 Ki blocks per task. */
 constexpr uint64_t kScanGrain = 1ull << 20;
-/** Hits per proof-stage task. */
-constexpr size_t kProofTask = 16;
-/** Clusters per majority or merge-screen task. */
+/** Clusters per majority or near-list task. */
 constexpr size_t kMergeRows = 32;
 
 /** Tallies of the clustering work, as the attack.miner counters. */
@@ -457,71 +307,6 @@ struct ClusterWork
 };
 
 /**
- * Fold @p hits, in dump order, into @p clusters: a hit joins the
- * first cluster an exact-chunk bucket places it in, else the
- * lowest-index cluster whose representative is within distance (the
- * novelty proof), else starts a cluster. Returns each hit's cluster.
- *
- * The hits go in batches of kMinerProofBatch. Before a batch that
- * starts with C0 >= kMinerStageClusters clusters, one stage proves
- * each hit that no bucket places against those C0; the fold then
- * screens only the clusters made since. Exact because buckets and
- * representatives only grow (DESIGN.md §15).
- */
-std::vector<uint32_t>
-clusterHits(const std::deque<Hit> &hits, ClusterSet &clusters,
-            exec::StagePool &pool, ClusterWork &work)
-{
-    obs::ScopedSpan span("mine.cluster");
-    ClusterIndex index(clusters);
-    std::vector<uint32_t> home_of(hits.size());
-    std::vector<size_t> proofs(kMinerProofBatch);
-    PrefixScreen::Survivors survivors;
-    for (size_t b0 = 0; b0 < hits.size(); b0 += kMinerProofBatch) {
-        const size_t b1 = std::min(hits.size(), b0 + kMinerProofBatch);
-        const size_t c0 = clusters.size();
-        const bool proven = c0 >= kMinerStageClusters;
-        if (proven)
-            exec::parallelForChunks(
-                pool, b0, b1, kProofTask, [&](const exec::ChunkRange &r) {
-                    PrefixScreen::Survivors task_survivors;
-                    for (uint64_t h = r.begin; h < r.end; ++h) {
-                        std::span<const uint8_t> block = hits[h].block;
-                        proofs[h - b0] =
-                            index.bucketHome(block) != SIZE_MAX
-                                ? SIZE_MAX
-                                : index.screenHome(block, 0, c0,
-                                                   task_survivors);
-                    }
-                });
-        for (size_t h = b0; h < b1; ++h) {
-            const Hit &hit = hits[h];
-            size_t home = index.bucketHome(hit.block);
-            if (home != SIZE_MAX) {
-                ++work.bucket_joins;
-            } else {
-                // A bucket miss now was a miss at batch start, so its
-                // proof was made; an index below c0 beats every
-                // later one.
-                if (proven)
-                    home = proofs[h - b0];
-                if (home == SIZE_MAX)
-                    home = index.screenHome(hit.block, proven ? c0 : 0,
-                                            clusters.size(), survivors);
-                work.screened += walkedPairs(0, home, clusters.size());
-            }
-            if (home == SIZE_MAX) {
-                home = clusters.create(hit.block, hit.offset);
-                index.add(static_cast<uint32_t>(home));
-            }
-            clusters.join(home);
-            home_of[h] = static_cast<uint32_t>(home);
-        }
-    }
-    return home_of;
-}
-
-/**
  * The address class of every hit, from a KeyMap fitted to the hits'
  * own exact-chunk evidence before any clustering (DESIGN.md §15). One
  * pass in dump order groups the hits as the buckets alone would: a hit
@@ -529,9 +314,10 @@ clusterHits(const std::deque<Hit> &hits, ClusterSet &clusters,
  * with (a shared chunk, within @p distance), else starts a group. The
  * groups of two or more hits, in first-hit order, are the map's line
  * groups, and its lines reach the last hit's. Returns each hit's slot
- * and sets @p slots to the slot count; nothing when the map declines.
+ * and sets @p slots to the slot count; when the map declines, every
+ * hit is in slot 0 of one.
  */
-std::optional<std::vector<uint32_t>>
+std::vector<uint32_t>
 hitClasses(const std::deque<Hit> &hits, unsigned distance, size_t &slots)
 {
     obs::ScopedSpan span("mine.fit");
@@ -578,12 +364,10 @@ hitClasses(const std::deque<Hit> &hits, unsigned distance, size_t &slots)
 
     const KeyMap map(groups,
                      static_cast<uint32_t>(hits.back().offset / 64));
-    if (!map.confident())
-        return std::nullopt;
-    slots = map.slots();
+    slots = std::max<size_t>(map.slots(), 1);
     h = 0;
     for (const Hit &hit : hits)
-        group_of[h++] = map.slotOf(hit.offset / 64);
+        group_of[h++] = map.confident() ? map.slotOf(hit.offset / 64) : 0;
     return group_of;
 }
 
@@ -613,12 +397,14 @@ struct ClassChains
 };
 
 /**
- * clusterHits' rule restricted to each hit's address class
- * @p class_of: a hit joins the class's first cluster an exact-chunk
- * bucket places it in (chunks 0-7 in order, the class's clusters in
- * creation order), else the lowest-index cluster of its class within
- * distance, else starts a cluster, so clusters keep their global
- * creation order. O(hits) while each class holds O(1) clusters.
+ * Fold @p hits, in dump order, into @p clusters within each hit's
+ * address class @p class_of: a hit joins the class's first cluster an
+ * exact-chunk bucket places it in (chunks 0-7 in order, the class's
+ * clusters in creation order), else the lowest-index cluster of its
+ * class within distance (the novelty proof), else starts a cluster,
+ * so clusters keep their global creation order. Returns each hit's
+ * cluster. O(hits) while each class holds O(1) clusters; in one class
+ * it is the all-pairs rule, O(hits × clusters).
  */
 std::vector<uint32_t>
 clusterHitsByClass(const std::deque<Hit> &hits,
@@ -705,39 +491,22 @@ majorityKeys(const std::deque<Hit> &hits,
 }
 
 /**
- * For each cluster i, the clusters j > i whose majority key is within
- * @p distance of i's, ascending: one stage. With @p chains, the later
- * clusters of i's class; else the prefix screen from i + 1. Either
- * way the full distance confirms.
+ * For each cluster i, the later clusters j of i's class whose majority
+ * key is within distance of i's, ascending: one stage.
  */
 std::vector<std::vector<uint32_t>>
 nearLaterClusters(const std::vector<std::array<uint8_t, 64>> &majorities,
-                  const ClusterSet &clusters, unsigned distance,
-                  const ClassChains *chains, exec::StagePool &pool)
+                  const ClusterSet &clusters, const ClassChains &chains,
+                  exec::StagePool &pool)
 {
-    const size_t n = majorities.size();
-    PrefixScreen screen;
-    if (!chains)
-        for (const auto &m : majorities)
-            screen.push(m);
-    std::vector<std::vector<uint32_t>> near(n);
+    std::vector<std::vector<uint32_t>> near(majorities.size());
     exec::parallelForChunks(
-        pool, 0, n, kMergeRows, [&](const exec::ChunkRange &r) {
-            PrefixScreen::Survivors task_survivors;
-            for (uint64_t i = r.begin; i < r.end; ++i) {
-                auto confirm = [&](size_t j) {
+        pool, 0, near.size(), kMergeRows, [&](const exec::ChunkRange &r) {
+            for (uint64_t i = r.begin; i < r.end; ++i)
+                for (uint32_t j = chains.next[i]; j != ClassChains::kNone;
+                     j = chains.next[j])
                     if (clusters.within(majorities[i], majorities[j]))
-                        near[i].push_back(static_cast<uint32_t>(j));
-                    return false;
-                };
-                if (chains)
-                    for (uint32_t j = chains->next[i];
-                         j != ClassChains::kNone; j = chains->next[j])
-                        confirm(j);
-                else
-                    screen.walk(majorities[i], i + 1, n, distance,
-                                task_survivors, confirm);
-            }
+                        near[i].push_back(j);
         });
     return near;
 }
@@ -779,8 +548,8 @@ mineScramblerKeys(const exec::DumpSource &dump,
     obs::Counter &c_screened = registry.counter(
         "attack.miner.screened",
         "(block, representative) and (key, key) pairs the novelty "
-        "proofs and the merge pass compare: all-pairs, as handed to "
-        "the prefix screen; by address class, one by one");
+        "proofs and the merge pass compare, within each address class "
+        "(one class when the map declines)");
     obs::Counter &c_merges = registry.counter(
         "attack.miner.merges", "clusters merged into an earlier one");
     obs::ScopedTimer timer(registry.distribution(
@@ -831,39 +600,32 @@ mineScramblerKeys(const exec::DumpSource &dump,
             hits.insert(hits.end(), h.hits.begin(), h.hits.end());
         });
 
-    // From kMinerStageClusters hits, where the all-pairs fold would
-    // start proving in stages, cluster within address classes when
-    // the hits' own evidence fits a confident map; a declined map
-    // leaves the all-pairs fold (DESIGN.md §15).
+    // From kMinerStageClusters hits, cluster within address classes
+    // when the hits' own evidence fits a confident map. Fewer hits,
+    // lines past 32 bits or a declined map put every hit in one class,
+    // where the fold compares all pairs (DESIGN.md §15).
+    size_t slots = 1;
+    const auto class_of =
+        record_lines && hits.size() >= kMinerStageClusters
+            ? hitClasses(hits, params.cluster_distance, slots)
+            : std::vector<uint32_t>(hits.size(), 0);
     ClusterSet clusters(params.cluster_distance);
-    std::optional<ClassChains> chains;
-    std::optional<std::vector<uint32_t>> class_of;
-    size_t slots = 0;
-    if (record_lines && hits.size() >= kMinerStageClusters)
-        class_of = hitClasses(hits, params.cluster_distance, slots);
-    std::vector<uint32_t> home_of;
-    if (class_of) {
-        chains.emplace(slots);
-        home_of = clusterHitsByClass(hits, *class_of, clusters, *chains,
-                                     work);
-    } else {
-        home_of = clusterHits(hits, clusters, pool, work);
-    }
+    ClassChains chains(slots);
+    const auto home_of =
+        clusterHitsByClass(hits, class_of, clusters, chains, work);
 
     // Merge clusters whose majority keys ended up close (decay can
     // split one key across clusters when early copies were noisy):
     // the walk replays the all-pairs merge loop on the near lists,
-    // which on the class path hold the same class only.
+    // which hold the same class only.
     obs::ScopedSpan merge_span("mine.merge");
     const size_t n = clusters.size();
     exec::StagePool serial(1);
     exec::StagePool &merge_pool = n >= kMinerStageClusters ? pool : serial;
     auto majorities = majorityKeys(hits, home_of, clusters, merge_pool);
     const auto near =
-        nearLaterClusters(majorities, clusters, params.cluster_distance,
-                          chains ? &*chains : nullptr, merge_pool);
-    if (chains)
-        work.screened += chains->pairs;
+        nearLaterClusters(majorities, clusters, chains, merge_pool);
+    work.screened += chains.pairs;
 
     // Each reported key's majority, count and first offset, in walk
     // order, and the reported key each cluster ended in (SIZE_MAX:
@@ -894,10 +656,7 @@ mineScramblerKeys(const exec::DumpSource &dump,
             auto it = std::lower_bound(list.begin(), list.end(), from);
             while (it != list.end() && merged[*it])
                 ++it;
-            size_t j = it == list.end() ? SIZE_MAX : *it;
-            if (!chains)
-                work.screened += walkedPairs(from, j, n);
-            return j;
+            return it == list.end() ? SIZE_MAX : size_t{*it};
         };
         for (size_t j = next(i + 1); j != SIZE_MAX; j = next(j + 1)) {
             occurrences += clusters[j].members;
@@ -950,8 +709,8 @@ mineScramblerKeys(const exec::DumpSource &dump,
     }
 
     // Scrub the majority keys before they are freed; the hits,
-    // clusters, screens and bucket table scrub themselves, and the
-    // reported MinedKeys on destruction.
+    // clusters and bucket table scrub themselves, and the reported
+    // MinedKeys on destruction.
     for (auto &m : majorities)
         secureWipe(m.data(), m.size());
 

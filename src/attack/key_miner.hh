@@ -79,11 +79,11 @@ struct MinerParams
     size_t min_occurrences = 2;
     /** Filter trivially constant blocks before clustering. */
     bool drop_constant_blocks = true;
-    /** The pool of every mining stage (the scan, the novelty proofs,
-     *  the majorities and the merge screen), as exec::StagePool reads
-     *  it: 0 = the global pool, 1 = in-line, N > 1 = one pool of N
-     *  workers for the call. The mined keys are byte-identical for
-     *  every value (DESIGN.md §9). */
+    /** The pool of every mining stage (the scan, the majorities and
+     *  the near lists), as exec::StagePool reads it: 0 = the global
+     *  pool, 1 = in-line, N > 1 = one pool of N workers for the call.
+     *  The mined keys are byte-identical for every value (DESIGN.md
+     *  §9). */
     unsigned threads = 0;
     /** Checked once per scan chunk; a raised token makes the call
      *  throw exec::CancelledError. */
@@ -100,15 +100,10 @@ struct MinerStats
     size_t keys_reported = 0;
 };
 
-/** Litmus hits mineScramblerKeys() clusters per novelty-proof
- *  batch. */
-inline constexpr size_t kMinerProofBatch = 1024;
-
-/** Clusters from which the miner's proof and merge stages run on the
- *  pool; below it they run on the calling thread, and a batch that
- *  starts with fewer clusters is proved in the fold itself. Also the
- *  hit count from which the miner fits the address map before it
- *  clusters. */
+/** The hit count from which the miner fits the address map before it
+ *  clusters, and the cluster count from which its majority and
+ *  near-list stages run on the pool; below it they run on the calling
+ *  thread. */
 inline constexpr size_t kMinerStageClusters = 512;
 
 /** Dump bytes mineScramblerKeys() scans: the scan limit, line
@@ -122,18 +117,18 @@ uint64_t minerScanBytes(const exec::DumpSource &dump,
  * The block scan is an exec::scanDump stage ("mine.scan") that
  * collects litmus hits in ascending dump order. From
  * kMinerStageClusters hits, the miner first fits a KeyMap to the hits
- * that exact-chunk buckets place together ("mine.fit"); when it is
- * confident, each hit is clustered only with its own address class's
- * clusters and the merge compares only within a class, in O(hits).
- * Otherwise the hits are clustered against all earlier clusters, in
- * batches of kMinerProofBatch ("mine.cluster"). Either way the
- * clusters' majority keys are then merged ("mine.merge"). The class
- * path reports the all-pairs path's keys unless two classes hold
- * clusters within cluster_distance (DESIGN.md §15). The novelty
- * proofs, the majorities and the merge screen run as pool stages
- * whose results the fold consumes in order, so the reported keys,
- * their lines and the clustering counters are byte-identical to a
- * sequential run at any pool width (see DESIGN.md §9 and §15).
+ * that exact-chunk buckets place together ("mine.fit"). The fold
+ * ("mine.cluster") then clusters each hit only with its own address
+ * class's clusters, and the merge ("mine.merge") compares majority
+ * keys only within a class: O(hits) on a confident map. Fewer hits
+ * or a declined map make every hit one class, so the fold and the
+ * merge compare all pairs, O(hits × clusters). Classes change the
+ * reported keys only when two classes hold clusters within
+ * cluster_distance (DESIGN.md §15). The majorities and the near lists
+ * run as pool stages whose results the merge walk consumes in order,
+ * so the reported keys, their lines and the clustering counters are
+ * byte-identical to a sequential run at any pool width (see DESIGN.md
+ * §9 and §15).
  *
  * @param dump   Scrambled dump (any DumpSource backend).
  * @param params Tuning parameters.

@@ -1,5 +1,7 @@
 #include "common/secure.hh"
 
+#include <cstring>
+
 namespace coldboot
 {
 
@@ -8,13 +10,11 @@ secureWipe(void *p, size_t n)
 {
     if (p == nullptr || n == 0)
         return;
-    // Volatile qualifies each store so the compiler must emit it; the
-    // trailing asm barrier tells the optimizer the memory is observed,
-    // which stops the whole loop from being treated as a dead store
-    // even under LTO.
-    volatile uint8_t *bytes = static_cast<volatile uint8_t *>(p);
-    for (size_t i = 0; i < n; ++i)
-        bytes[i] = 0;
+    // The asm barrier takes p as an input and clobbers memory, so the
+    // optimizer must assume the zeros are read through it and cannot
+    // drop the memset as a dead store, even under LTO (the
+    // memzero_explicit pattern).
+    std::memset(p, 0, n);
     __asm__ __volatile__("" : : "r"(p) : "memory");
 }
 

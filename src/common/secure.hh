@@ -5,9 +5,9 @@
  * A cold-boot reproduction is exactly the wrong place to scrub key
  * material with plain std::memset: the call is dead-store-eliminable
  * when the buffer is not read afterwards, which is precisely the
- * wipe-before-free pattern. secureWipe() performs the stores through
- * a volatile pointer and ends with a compiler barrier, so the zeros
- * are written regardless of optimization level. The in-tree
+ * wipe-before-free pattern. secureWipe() follows its memset with a
+ * compiler barrier that takes the pointer and clobbers memory, so the
+ * zeros are written regardless of optimization level. The in-tree
  * `coldboot-lint` secret-wipe rule bans memset/bzero on identifiers
  * that look like key material and points here instead.
  */
@@ -25,8 +25,8 @@ namespace coldboot
 
 /**
  * Zero @p n bytes at @p p with stores the optimizer cannot elide
- * (volatile writes followed by a compiler barrier; the moral
- * equivalent of C11 memset_s).
+ * (memset followed by a compiler barrier, as Linux's
+ * memzero_explicit; the moral equivalent of C11 memset_s).
  */
 void secureWipe(void *p, size_t n);
 

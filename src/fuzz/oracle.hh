@@ -35,8 +35,12 @@
  *                             state, never back
  *   miner-planted-keys        KeyMiner recovers planted scrambler
  *                             keys through a decay sweep
- *   miner-cluster-exact       the miner's screened clustering and
+ *   miner-cluster-exact       on keys at random lines (one address
+ *                             class), the miner's clustering and
  *                             merge pass equal plain all-pairs loops
+ *   miner-map-first           on address-keyed dumps, the miner's
+ *                             class-by-class clustering equals those
+ *                             plain loops
  *   search-planted-schedule   AES search soundness (any recovered key
  *                             equals the planted master) and
  *                             completeness at zero decay

@@ -2,8 +2,8 @@
  * @file
  * Attack-pipeline oracles: the miner and the AES search checked
  * against dumps with *known* planted ground truth, the miner's
- * screened clustering and the search's prefiltered scan against
- * plain every-pair loops, plus the worker-count-independence
+ * clustering and the search's prefiltered scan against plain
+ * every-pair loops, plus the worker-count-independence
  * fingerprint over the whole pipeline.
  *
  * Statistical care: at nonzero decay the attack is allowed to miss
@@ -174,16 +174,15 @@ plainDistance(std::span<const uint8_t> a, std::span<const uint8_t> b)
 }
 
 /**
- * The miner's clustering written as the plain loops it used before
- * the prefix screen. Returns the reported keys, sorted as the miner
- * sorts them, with every member's line, and counts clusters, merges
- * and the proof batches that start with at least
- * kMinerStageClusters clusters (the batches whose proofs the miner
- * makes in a stage).
+ * The miner's clustering written as plain all-pairs loops. Returns the
+ * reported keys, sorted as the miner sorts them, with every member's
+ * line, counts clusters and merges, and sets @p fitted when the dump
+ * holds at least kMinerStageClusters hits (enough for the miner to fit
+ * the address map before it clusters).
  */
 std::vector<MinedKey>
 referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
-              size_t &clusters, size_t &merges, size_t &staged_batches)
+              size_t &clusters, size_t &merges, bool &fitted)
 {
     using Block = std::array<uint8_t, 64>;
     const unsigned dist = mp.cluster_distance;
@@ -193,7 +192,6 @@ referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
     std::vector<uint64_t> first_offset;
     std::vector<std::vector<uint32_t>> lines;
     size_t hits = 0;
-    staged_batches = 0;
     for (uint64_t off = 0; off + 64 <= bytes.size(); off += 64) {
         std::span<const uint8_t> block(&bytes[off], 64);
         if (!attack::scramblerKeyLitmus(block,
@@ -201,9 +199,7 @@ referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
             (mp.drop_constant_blocks &&
              attack::isConstantBlock(block)))
             continue;
-        if (hits++ % attack::kMinerProofBatch == 0 &&
-            reps.size() >= attack::kMinerStageClusters)
-            ++staged_batches;
+        ++hits;
         // Exact-chunk buckets: chunk 0-7, each in creation order. The
         // miner keys a bucket by value * 8 + chunk index in 64 bits,
         // so chunk values match modulo 2^61.
@@ -285,6 +281,7 @@ referenceMine(const std::vector<uint8_t> &bytes, const MinerParams &mp,
                   return a.occurrences > b.occurrences;
               });
     clusters = reps.size();
+    fitted = hits >= attack::kMinerStageClusters;
     return out;
 }
 
@@ -303,16 +300,17 @@ flipPair(std::array<uint8_t, 64> &block, unsigned p)
 }
 
 /**
- * miner-cluster-exact: the miner's screened clustering equals the
- * plain loops it replaced (referenceMine above): the same keys,
- * occurrence counts, first offsets and lines. The dumps hold more clusters
- * than one 256-key screen tile, copies 78-82 bits from their
- * representative, and keys split across three clusters whose
- * majorities the merge pass joins again. From scale 1 they also hold
- * enough keys for several proof batches with the proof stage on,
- * copies that only a screen of their own batch's clusters places,
- * and copies that a bucket joins to a cluster made in their batch
- * while an older one is also within distance.
+ * miner-cluster-exact: on keys at random lines, where the miner's
+ * address map declines and every hit is in one class, its clustering
+ * equals plain all-pairs loops (referenceMine above): the same keys,
+ * occurrence counts, first offsets and lines. The dumps hold more than
+ * 256 clusters, copies 78-82 bits from their representative, copies
+ * within distance of two clusters, and keys split across three
+ * clusters whose majorities the merge pass joins again. From scale 1
+ * they hold 600-1,500 keys, enough hits for the miner to fit the map
+ * before the one-class fold, and also copies in no bucket right after
+ * their key, and copies that a bucket joins to a later cluster while
+ * an earlier one is also within distance.
  */
 class MinerClusterExactOracle final : public Oracle
 {
@@ -322,9 +320,9 @@ class MinerClusterExactOracle final : public Oracle
     const char *
     description() const override
     {
-        return "the miner's screened clustering and merge pass report "
-               "the keys, counts, offsets and lines of plain all-pairs "
-               "loops";
+        return "on keys at random lines (one address class) the miner's "
+               "clustering and merge pass report the keys, counts, "
+               "offsets and lines of plain all-pairs loops";
     }
 
     unsigned smokeStride() const override { return 4; }
@@ -338,7 +336,7 @@ class MinerClusterExactOracle final : public Oracle
 
         // A random order of 0 to @p n - 1. Masks take disjoint runs
         // of flip pairs in such an order; pairs 0-63 lie in row 0,
-        // inside the 192-bit prefix the miner screens on.
+        // the block's first 128 bits.
         auto shuffled = [&](unsigned n) {
             std::vector<unsigned> order(n);
             for (unsigned i = 0; i < n; ++i)
@@ -369,11 +367,11 @@ class MinerClusterExactOracle final : public Oracle
         // blocks are consecutive litmus hits.
         using Run = std::vector<Block>;
         std::vector<std::vector<Run>> groups;
-        // Plain keys: more distinct keys than one screen tile; from
-        // scale 1, enough hits for several proof batches, most of
-        // them proved in a stage.
-        const bool batched = params.scale >= 1;
-        for (uint64_t n = batched ? 600 + rng.below(900)
+        // Plain keys: hundreds of distinct keys; from scale 1, enough
+        // hits for the miner to fit the address map, which declines
+        // on random lines.
+        const bool large = params.scale >= 1;
+        for (uint64_t n = large ? 600 + rng.below(900)
                                   : 260 + rng.below(120);
              n > 0; --n) {
             Block key = poolKey();
@@ -382,7 +380,7 @@ class MinerClusterExactOracle final : public Oracle
                 g.push_back({decayed(key)});
         }
         // A pristine representative, then copies 78-82 bits off it:
-        // spread over the block, or all inside the screened prefix.
+        // spread over the block, or all inside its first 192 bits.
         for (uint64_t n = 4 + rng.below(8); n > 0; --n) {
             Block key = poolKey();
             auto &g = groups.emplace_back();
@@ -420,8 +418,8 @@ class MinerClusterExactOracle final : public Oracle
         }
         // Split keys: three clusters of one key that the merge pass
         // joins again. m1 and m4 are flip pairs in rows 1-3; m2 and
-        // m3 are pairs in row 0, inside the screened prefix, and m2
-        // or m3 is often 80 bits, the screen's budget.
+        // m3 are pairs in row 0, and m2 or m3 is often 80 bits, the
+        // default cluster distance.
         //  - key ^ m1 starts cluster A; the pristine copies after it
         //    join it and pull its majority back to key.
         //  - key ^ m2 ^ m4 starts cluster B, too far from A's
@@ -430,7 +428,7 @@ class MinerClusterExactOracle final : public Oracle
         //  - key ^ m2 ^ m3, right after B's first block, starts
         //    cluster C, within the distance of B's majority but not
         //    of key. When B has more copies than A, B's majority
-        //    replaces key, and only a merge pass that screens with
+        //    replaces key, and only a merge pass that compares with
         //    the replaced key also joins C.
         for (uint64_t n = 2 + rng.below(6); n > 0; --n) {
             Block key = poolKey();
@@ -466,11 +464,11 @@ class MinerClusterExactOracle final : public Oracle
                 g.push_back({near3});
         }
 
-        if (batched) {
+        if (large) {
             // A key and, right after it, a copy 40-78 bits off with a
-            // flip pair in every row, so in no bucket: when the key
-            // starts its batch's first cluster, only a screen of the
-            // batch's own clusters from that one on places the copy.
+            // flip pair in every row, so in no bucket: only the
+            // novelty proof against the key's cluster, the newest,
+            // places the copy.
             for (uint64_t n = 60 + rng.below(60); n > 0; --n) {
                 Block key = poolKey();
                 auto order = shuffled(64);
@@ -486,8 +484,8 @@ class MinerClusterExactOracle final : public Oracle
             // bits, every chunk): key ^ m1 starts a cluster. m2 is
             // the same row-0 pairs and e other pairs in rows 1-3
             // (42-56 bits, every chunk, 62 bits at most from key ^
-            // m1): no bucket of key's places key ^ m2, and a proof at
-            // batch start finds key, but the bucket of key ^ m1's
+            // m1): no bucket of key's places key ^ m2, and a novelty
+            // proof would find key, but the bucket of key ^ m1's
             // row-0 chunks joins it there first.
             for (uint64_t n = 20 + rng.below(40); n > 0; --n) {
                 Block key = poolKey();
@@ -520,7 +518,7 @@ class MinerClusterExactOracle final : public Oracle
                 planted += run.size();
         }
         const uint64_t lines =
-            batched ? std::max<uint64_t>(uint64_t{2048} << params.scale,
+            large ? std::max<uint64_t>(uint64_t{2048} << params.scale,
                                          std::bit_ceil(2 * planted))
                     : uint64_t{2048} << params.scale;
         std::vector<uint8_t> bytes(lines * 64);
@@ -553,9 +551,9 @@ class MinerClusterExactOracle final : public Oracle
         attack::MinerStats stats;
         exec::MemoryDumpSource source(bytes);
         auto mined = attack::mineScramblerKeys(source, mp, &stats);
-        size_t clusters = 0, merges = 0, staged_batches = 0;
-        auto want =
-            referenceMine(bytes, mp, clusters, merges, staged_batches);
+        size_t clusters = 0, merges = 0;
+        bool fitted = false;
+        auto want = referenceMine(bytes, mp, clusters, merges, fitted);
 
         size_t i = 0;
         while (i < mined.size() && i < want.size() &&
@@ -577,11 +575,12 @@ class MinerClusterExactOracle final : public Oracle
             return res;
         }
         if (clusters > 256)
-            res.feature(1); // more clusters than one screen tile
+            res.feature(1); // more than 256 clusters
         if (merges > 0)
             res.feature(2); // the merge pass fired
-        if (staged_batches > 0)
-            res.feature(5); // a proof batch was proved in a stage
+        if (fitted)
+            res.feature(5); // the map was fitted, declined, and the
+                            // one-class fold ran
         res.feature(mp.cluster_distance == 80 ? 3 : 4);
         return res;
     }
@@ -742,9 +741,9 @@ class MinerMapFirstOracle final : public Oracle
         attack::MinerStats stats;
         exec::MemoryDumpSource source(dump.bytes);
         auto mined = attack::mineScramblerKeys(source, mp, &stats);
-        size_t clusters = 0, merges = 0, staged_batches = 0;
-        auto want = referenceMine(dump.bytes, mp, clusters, merges,
-                                  staged_batches);
+        size_t clusters = 0, merges = 0;
+        bool fitted = false;
+        auto want = referenceMine(dump.bytes, mp, clusters, merges, fitted);
 
         size_t i = 0;
         while (i < mined.size() && i < want.size() &&
@@ -757,7 +756,7 @@ class MinerMapFirstOracle final : public Oracle
         if (i != mined.size() || i != want.size() ||
             stats.clusters != clusters) {
             res.fail(std::string("miner (") +
-                     (by_class ? "class path" : "all-pairs path") +
+                     (by_class ? "class path" : "one class") +
                      ") reports " + std::to_string(mined.size()) +
                      " keys from " + std::to_string(stats.clusters) +
                      " clusters, the plain loops " +

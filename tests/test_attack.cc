@@ -280,8 +280,8 @@ TEST(KeyMiner, CountsClusteringWork)
     EXPECT_EQ(work.joins, 450u);
     // Only the split class compares: both copies of kc and kc ^ m2
     // with kc ^ m1's cluster in the fold, then that cluster with
-    // kc ^ m2's in the merge. The all-pairs path would screen every
-    // new cluster against all earlier ones.
+    // kc ^ m2's in the merge. In one class every new cluster would be
+    // compared with all earlier ones.
     EXPECT_EQ(work.screened, 4u);
     EXPECT_EQ(work.merges, 1u);
 
@@ -794,9 +794,8 @@ TEST(KeyMiner, ClusteringIdenticalAcrossWidthsAndSimdBackends)
 {
     // The Skylake capture's 4,097 clusters fold by address class; a
     // dump of keys planted at random lines, whose map declines, folds
-    // all pairs with the proof stages. Either way the majority and
-    // merge stages run on the pool at widths 4 and 0, in-line at
-    // width 1.
+    // in one class. Either way the majority and near-list stages run
+    // on the pool at widths 4 and 0, in-line at width 1.
     const auto &c = skylakeCapture();
     ASSERT_GT(c.mined.size(), kMinerStageClusters);
     fuzz::CaseRng rng(6);
@@ -809,13 +808,14 @@ TEST(KeyMiner, ClusteringIdenticalAcrossWidthsAndSimdBackends)
     auto &screened =
         obs::StatRegistry::global().counter("attack.miner.screened");
     const uint64_t screened0 = screened.value();
-    const auto scattered_keys = mineScramblerKeys(scattered);
+    MinerStats stats;
+    const auto scattered_keys = mineScramblerKeys(scattered, {}, &stats);
     ASSERT_GT(scattered_keys.size(), kMinerStageClusters);
     ASSERT_FALSE(KeyMap(scattered_keys).confident());
-    // The all-pairs proofs screen each new cluster against the earlier
-    // ones: far more pairs than clusters.
-    EXPECT_GT(screened.value() - screened0,
-              kMinerStageClusters * scattered_keys.size() / 2);
+    // In one class each new cluster is compared with every earlier one
+    // in the fold, and each such pair once more in the merge.
+    const uint64_t clusters = stats.clusters;
+    EXPECT_GE(screened.value() - screened0, clusters * (clusters - 1));
 
     auto &tasks =
         obs::StatRegistry::global().counter("exec.pool.tasks_executed");

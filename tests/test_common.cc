@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: bit helpers, hex, RNG determinism.
+ * Unit tests for src/common: bit helpers, hex, RNG determinism, the
+ * secure wipe.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/bits.hh"
 #include "common/hex.hh"
 #include "common/rng.hh"
+#include "common/secure.hh"
 #include "common/units.hh"
 
 namespace coldboot
@@ -184,6 +186,28 @@ TEST(Units, Conversions)
     EXPECT_EQ(periodPsFromGHz(2.4), 417);
     EXPECT_EQ(MiB(1), 1048576ull);
     EXPECT_EQ(KiB(4), 4096ull);
+}
+
+TEST(SecureWipe, ZeroesExactlyTheRangeAtOddLengthsAndOffsets)
+{
+    Xoshiro256StarStar rng(17);
+    std::vector<uint8_t> before(160);
+    for (size_t offset : {0u, 1u, 3u, 7u, 13u})
+        for (size_t n : {0u, 1u, 5u, 17u, 63u, 65u, 99u, 131u}) {
+            rng.fillBytes(before);
+            // Nonzero everywhere, so a stray zero shows.
+            for (uint8_t &b : before)
+                b |= 1;
+            std::vector<uint8_t> buf = before;
+            secureWipe(buf.data() + offset, n);
+            for (size_t i = 0; i < buf.size(); ++i) {
+                const bool inside = i >= offset && i < offset + n;
+                ASSERT_EQ(buf[i], inside ? 0 : before[i])
+                    << "offset " << offset << " length " << n
+                    << " byte " << i;
+            }
+        }
+    secureWipe(nullptr, 0);
 }
 
 } // anonymous namespace

@@ -376,10 +376,11 @@ TEST(Corpus, CheckedInCorpusReplaysClean)
 
 TEST(Corpus, MinerClusterSeedsReachASecondTileAndAMerge)
 {
-    // The screened clustering's paths no other oracle reaches: more
-    // clusters than one screen tile (feature 1) and a merge pass that
-    // fires (feature 2), which every corpus seed reaches, and from
-    // scale 1 a proof batch proved in a stage (feature 5).
+    // The one-class fold's paths no other oracle reaches: more than
+    // 256 clusters (feature 1) and a merge pass that fires (feature
+    // 2), which every corpus seed reaches, and from scale 1 enough
+    // hits that the map was fitted, declined, and the one-class fold
+    // ran (feature 5).
     size_t seeds = 0;
     for (const auto &e :
          loadCorpusDir(COLDBOOT_SOURCE_DIR "/tests/fuzz_corpus")) {
@@ -402,8 +403,8 @@ TEST(Corpus, MinerClusterSeedsReachASecondTileAndAMerge)
 TEST(Corpus, MinerMapFirstSeedsTakeBothPaths)
 {
     // The map-first miner's class path with a merge (features 1 and 4)
-    // and a declined map on enough hits (feature 2), each checked
-    // against the all-pairs reference.
+    // and a declined map on enough hits (feature 2), so one class,
+    // each checked against the all-pairs reference.
     bool class_merge = false, declined = false;
     for (const auto &e :
          loadCorpusDir(COLDBOOT_SOURCE_DIR "/tests/fuzz_corpus")) {

@@ -15,8 +15,8 @@ const std::vector<RuleInfo> catalog = {
      "optimizer; use secureWipe() from common/secure.hh",
      "A wipe-before-free memset is a dead store to the compiler: "
      "nothing reads the buffer afterwards, so -O2 deletes exactly "
-     "the scrub a cold-boot defence depends on. secureWipe() stores "
-     "through a volatile pointer and ends with a compiler barrier.",
+     "the scrub a cold-boot defence depends on. secureWipe() follows "
+     "its memset with a compiler barrier that keeps the stores.",
      "std::memset(master_key, 0, sizeof(master_key));",
      "secureWipe(master_key, sizeof(master_key));"},
     {"banned-api",
