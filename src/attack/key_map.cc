@@ -20,20 +20,6 @@ constexpr uint64_t kConfidenceBits = 64;
  *  4 MiB. */
 constexpr unsigned kMaxSlotBits = 20;
 
-/**
- * The representative of @p v's coset of K that is zero at every pivot
- * bit (rows[b]'s highest bit b). Rows only touch bits at or below
- * their pivot, so one high-to-low pass clears every pivot; the result
- * is unique per coset and linear in @p v.
- */
-uint64_t
-reduceLine(const uint32_t (&rows)[32], unsigned bits, uint64_t v)
-{
-    for (unsigned b = bits; b-- > 0;)
-        v ^= rows[b] & (0 - ((v >> b) & 1));
-    return v;
-}
-
 } // anonymous namespace
 
 KeyMap::KeyMap(const std::vector<MinedKey> &keys)
@@ -64,16 +50,38 @@ KeyMap::fit(std::span<const std::span<const uint32_t>> groups,
     }
     const auto n = static_cast<unsigned>(std::bit_width(top));
 
-    // Fit: K is spanned by the even-ranked groups' line differences.
+    // A line's reduction is the representative of its coset of K that
+    // is zero at every pivot bit (the highest bit of each basis row).
+    // It is unique and linear in the line, so it is the XOR of one
+    // table entry per line byte, the reduction of that byte in its
+    // place. A new row is a reduced difference, zero at every earlier
+    // pivot, so an entry takes it in with one conditional XOR on the
+    // new pivot bit and stays zero at the earlier ones.
+    const unsigned bytes = (n + 7) / 8;
+    std::vector<uint32_t> reduced(256 * bytes);
+    for (size_t i = 0; i < reduced.size(); ++i)
+        reduced[i] = static_cast<uint32_t>(i % 256) << (8 * (i / 256));
+    auto reduce = [&](uint32_t line) {
+        uint32_t v = 0;
+        for (unsigned j = 0; j < bytes; ++j)
+            v ^= reduced[256 * j + ((line >> (8 * j)) & 255)];
+        return v;
+    };
+    uint32_t pivots = 0;
     unsigned dim = 0;
+
+    // Fit: K is spanned by the even-ranked groups' line differences.
     for (size_t r = 0; r < groups.size() && dim < n; r += 2) {
         const uint32_t anchor = groups[r].front();
         for (uint32_t line : groups[r]) {
-            uint64_t v = reduceLine(rows, n, line ^ anchor);
-            if (v != 0) {
-                rows[std::bit_width(v) - 1] = static_cast<uint32_t>(v);
-                ++dim;
-            }
+            const uint32_t v = reduce(line ^ anchor);
+            if (v == 0)
+                continue;
+            const unsigned pivot = std::bit_width(v) - 1;
+            for (uint32_t &e : reduced)
+                e ^= v & (0 - ((e >> pivot) & 1));
+            pivots |= uint32_t{1} << pivot;
+            ++dim;
         }
     }
 
@@ -82,7 +90,7 @@ KeyMap::fit(std::span<const std::span<const uint32_t>> groups,
     for (size_t r = 1; r < groups.size(); r += 2) {
         const uint32_t anchor = groups[r].front();
         for (uint32_t line : groups[r])
-            if (reduceLine(rows, n, line ^ anchor) != 0)
+            if (reduce(line ^ anchor) != 0)
                 return;
         held_out += groups[r].size() - 1;
     }
@@ -94,25 +102,22 @@ KeyMap::fit(std::span<const std::span<const uint32_t>> groups,
     kernel_dim = dim;
 
     // A line's slot is its reduced line with the pivot bits dropped.
-    auto slot_of = [&](uint64_t line) {
-        uint64_t v = reduceLine(rows, n, line);
+    byte_slots.resize(reduced.size());
+    for (size_t i = 0; i < reduced.size(); ++i) {
         uint32_t slot = 0;
         unsigned pos = 0;
         for (unsigned b = 0; b < n; ++b)
-            if (rows[b] == 0)
-                slot |= static_cast<uint32_t>((v >> b) & 1) << pos++;
-        return slot;
-    };
-    byte_slots.resize(256 * ((n + 7) / 8));
-    for (size_t i = 0; i < byte_slots.size(); ++i)
-        byte_slots[i] = slot_of(uint64_t{i % 256} << (8 * (i / 256)));
+            if (((pivots >> b) & 1) == 0)
+                slot |= ((reduced[i] >> b) & 1) << pos++;
+        byte_slots[i] = slot;
+    }
 
     // Each key sits in its first line's slot; a counting sort keeps
     // every slot's keys ascending.
     std::vector<uint32_t> anchors(groups.size());
     slot_begin.assign((size_t{1} << slot_bits) + 1, 0);
     for (size_t k = 0; k < groups.size(); ++k) {
-        anchors[k] = slot_of(groups[k].front());
+        anchors[k] = slotOf(groups[k].front());
         ++slot_begin[anchors[k]];
     }
     std::partial_sum(slot_begin.begin(), slot_begin.end(),
@@ -125,7 +130,9 @@ KeyMap::fit(std::span<const std::span<const uint32_t>> groups,
 bool
 KeyMap::inKernel(uint64_t d) const
 {
-    return confident() && reduceLine(rows, line_bits, d) == 0;
+    // The slot drops only pivot bits, where every reduced line is
+    // zero, so slot 0 holds exactly the lines that reduce to zero.
+    return covers(d) && slotOf(d) == 0;
 }
 
 } // namespace coldboot::attack

@@ -115,8 +115,6 @@ class KeyMap
     std::vector<uint32_t> pool;
     unsigned line_bits = 0;
     unsigned kernel_dim = 0;
-    /** rows[b]: K's basis vector whose highest set bit is b, or 0. */
-    uint32_t rows[32] = {};
     /** Coset slot of each byte value at each byte position of a line
      *  (the slot map is linear, so a line's slot is the XOR of its
      *  bytes' entries). */

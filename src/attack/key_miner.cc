@@ -109,15 +109,18 @@ chunkKey(std::span<const uint8_t> block, unsigned c)
  * The exact-chunk buckets of the map fit's evidence pass: one
  * open-addressed slot per (chunk, id), linearly probed and never
  * deleted, so the ids that share a chunk come back in the order they
- * were inserted. A slot keeps the low 32 bits of the chunk key and the
- * id; a match is confirmed against the id's block, which holds the
- * whole chunk. The 32 bits are key material, so every slot array is
- * wiped before it is freed.
+ * were inserted, whatever the table's size. A slot keeps the low 32
+ * bits of the chunk key and the id; a match is confirmed against the
+ * id's block, which holds the whole chunk. The 32 bits are key
+ * material, so every slot array is wiped before it is freed.
  */
 class BucketTable
 {
   public:
-    BucketTable() : slots(1024) {}
+    /** Room for @p keys chunk keys at a load of at most 3/4. */
+    explicit BucketTable(size_t keys) : slots(std::bit_ceil(4 * keys / 3 + 2))
+    {
+    }
     BucketTable(const BucketTable &) = delete;
     BucketTable &operator=(const BucketTable &) = delete;
     ~BucketTable() { secureWipe(slots.data(), slots.size() * sizeof(Slot)); }
@@ -325,7 +328,10 @@ hitClasses(const std::deque<Hit> &hits, unsigned distance, size_t &slots)
     std::vector<const Hit *> firsts;
     std::vector<uint32_t> group_size;
     {
-        BucketTable buckets;
+        // Sized once: a group inserts its eight chunk keys, and E3's
+        // and E4's ~5 hits per group need ~1.6 keys per hit. Dumps of
+        // fewer copies per key (random-line fuzz dumps) still grow.
+        BucketTable buckets(2 * hits.size());
         size_t h = 0;
         for (const Hit &hit : hits) {
             size_t g = buckets.place(
@@ -418,16 +424,24 @@ clusterHitsByClass(const std::deque<Hit> &hits,
     size_t h = 0;
     for (const Hit &hit : hits) {
         const uint32_t cls = class_of[h];
+        // One walk keeps the lowest (chunk, cluster) bucket match: a
+        // later cluster replaces it only through a lower chunk, and a
+        // cluster is within distance or not whichever chunk it shares.
+        uint64_t keys[8];
+        for (unsigned c = 0; c < 8; ++c)
+            keys[c] = chunkKey(hit.block, c);
         size_t home = SIZE_MAX;
-        for (unsigned c = 0; c < 8 && home == SIZE_MAX; ++c) {
-            const uint64_t key = chunkKey(hit.block, c);
-            for (uint32_t k = chains.head[cls]; k != kNone;
-                 k = chains.next[k])
-                if (chunkKey(clusters[k].representative, c) == key &&
-                    clusters.near(hit.block, k)) {
-                    home = k;
-                    break;
-                }
+        unsigned home_chunk = 8;
+        for (uint32_t k = chains.head[cls]; k != kNone && home_chunk > 0;
+             k = chains.next[k]) {
+            std::span<const uint8_t> rep = clusters[k].representative;
+            unsigned c = 0;
+            while (c < home_chunk && chunkKey(rep, c) != keys[c])
+                ++c;
+            if (c < home_chunk && clusters.near(hit.block, k)) {
+                home = k;
+                home_chunk = c;
+            }
         }
         if (home != SIZE_MAX) {
             ++work.bucket_joins;

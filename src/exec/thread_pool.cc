@@ -602,13 +602,18 @@ parallelForChunks(StagePool &pool, uint64_t begin, uint64_t end,
     // on a 4-core host, so a stage of 100 small chunks ran at the
     // pace of its submissions.
     std::atomic<uint64_t> next{0};
+    auto claim = [&] {
+        for (uint64_t i;
+             (i = next.fetch_add(1, std::memory_order_relaxed)) < n;)
+            fn(chunkAt(begin, end, grain, i));
+    };
     ThreadPool::TaskGroup group(*p);
     for (uint64_t t = std::min<uint64_t>(n, p->workerCount()); t > 0; --t)
-        group.run([&] {
-            for (uint64_t i;
-                 (i = next.fetch_add(1, std::memory_order_relaxed)) < n;)
-                fn(chunkAt(begin, end, grain, i));
-        });
+        group.run(claim);
+    // The caller claims chunks too rather than sleep while the workers
+    // wake. Should one of its chunks throw, the group's destructor
+    // still waits for every task before the exception leaves.
+    claim();
     group.wait();
 }
 

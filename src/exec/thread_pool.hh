@@ -298,11 +298,12 @@ class StagePool
 
 /**
  * Apply @p fn to every grain-sized chunk of [begin, end) on @p pool:
- * one task per worker claims chunks in ascending order until none is
- * left. Runs inline when the pool is none, the range has a single
- * chunk or the pool has one worker. @p fn must tolerate concurrent
- * invocation on distinct chunks; exceptions propagate to the caller
- * (first wins).
+ * one task per worker, and the calling thread, claim chunks in
+ * ascending order from one shared counter until none is left. Runs
+ * inline when the pool is none, the range has a single chunk or the
+ * pool has one worker. @p fn must tolerate concurrent invocation on
+ * distinct chunks. Returns, or rethrows one of the chunks'
+ * exceptions, only after every submitted task has finished.
  */
 void parallelForChunks(StagePool &pool, uint64_t begin, uint64_t end,
                        uint64_t grain,
@@ -344,9 +345,9 @@ parallelMapReduceChunks(StagePool &pool, uint64_t begin, uint64_t end,
         }
         return;
     }
-    // Distinct elements of `results` are written by distinct tasks;
-    // TaskGroup::wait() inside parallelForChunks synchronizes them
-    // with the ordered reduction below.
+    // Distinct elements of `results` are written by distinct chunks;
+    // parallelForChunks returns only after every task has finished,
+    // which synchronizes them with the ordered reduction below.
     std::vector<std::optional<T>> results(n);
     parallelForChunks(
         pool, begin, end, grain,

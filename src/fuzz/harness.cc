@@ -34,6 +34,15 @@ struct ChunkResults
 
 } // anonymous namespace
 
+uint64_t
+CorpusReplay::violations() const
+{
+    uint64_t n = errors;
+    for (const auto &o : oracles)
+        n += o.violations;
+    return n;
+}
+
 std::string
 CampaignReport::toJson() const
 {
@@ -61,6 +70,20 @@ CampaignReport::toJson() const
            std::to_string(total_violations) + ",\n";
     out += std::string("  \"violations_truncated\": ") +
            (violations_truncated ? "true" : "false") + ",\n";
+    if (corpus) {
+        out += "  \"corpus\": {\"entries\": " +
+               std::to_string(corpus->entries) + ", \"errors\": " +
+               std::to_string(corpus->errors) + ", \"oracles\": [\n";
+        for (size_t i = 0; i < corpus->oracles.size(); ++i) {
+            const auto &o = corpus->oracles[i];
+            out += "    {\"name\": \"" + escape(o.name) + "\", ";
+            out += "\"entries\": " + std::to_string(o.entries) + ", ";
+            out += "\"violations\": " + std::to_string(o.violations) +
+                   "}";
+            out += i + 1 < corpus->oracles.size() ? ",\n" : "\n";
+        }
+        out += "  ]},\n";
+    }
 
     out += "  \"oracles\": [\n";
     for (size_t i = 0; i < oracles.size(); ++i) {

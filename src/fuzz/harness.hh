@@ -23,6 +23,7 @@
 #define COLDBOOT_FUZZ_HARNESS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,26 @@ struct OracleCampaignStats
     uint64_t interesting_seeds = 0;
 };
 
+/** Tally of a checked-in corpus replay (`coldboot-fuzz --corpus`). */
+struct CorpusReplay
+{
+    struct OracleTally
+    {
+        std::string name;
+        uint64_t entries = 0;
+        uint64_t violations = 0;
+    };
+
+    uint64_t entries = 0;
+    /** Unparseable lines and entries naming no oracle. */
+    uint64_t errors = 0;
+    /** Every oracle the corpus names, in name order. */
+    std::vector<OracleTally> oracles;
+
+    /** Errors plus every oracle's violations. */
+    uint64_t violations() const;
+};
+
 /** The campaign result. */
 struct CampaignReport
 {
@@ -103,6 +124,9 @@ struct CampaignReport
     uint64_t total_violations = 0;
     /** True when more violations occurred than were stored. */
     bool violations_truncated = false;
+    /** The corpus replayed with the campaign, if any; rendered as
+     *  the report's `corpus` object. */
+    std::optional<CorpusReplay> corpus;
 
     static constexpr size_t maxStoredViolations = 32;
 

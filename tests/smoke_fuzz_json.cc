@@ -1,13 +1,14 @@
 /**
  * @file
  * Pure-ctest smoke test for the coldboot-fuzz driver: runs a small
- * fixed-seed campaign three times (twice identically, once with a
- * COLDBOOT_THREADS=4 pool) and requires the campaign-report JSON to
- * be byte-identical - the determinism contract the CI fuzz-smoke job
- * relies on - then validates the report schema with the in-tree JSON
+ * fixed-seed campaign with the checked-in corpus three times (twice
+ * identically, once with a COLDBOOT_THREADS=4 pool) and requires the
+ * campaign-report JSON to be byte-identical - the determinism
+ * contract the CI fuzz-smoke job relies on - then validates the
+ * report schema, the corpus tally included, with the in-tree JSON
  * parser and exercises the --list / --reproduce / usage-error paths.
  *
- * Usage: smoke_fuzz_json <path-to-coldboot-fuzz>
+ * Usage: smoke_fuzz_json <path-to-coldboot-fuzz> <corpus-dir>
  */
 
 #include <cstdio>
@@ -62,13 +63,15 @@ run(const std::string &cmd)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(stderr, "usage: smoke_fuzz_json <coldboot-fuzz>\n");
+    if (argc < 3) {
+        std::fprintf(stderr,
+                     "usage: smoke_fuzz_json <coldboot-fuzz> <corpus-dir>\n");
         return 2;
     }
     std::string tool = "\"" + std::string(argv[1]) + "\"";
     const std::string campaign =
-        " --seed-range 0:12 --profile smoke --energy 2";
+        " --seed-range 0:12 --profile smoke --energy 2 --corpus \"" +
+        std::string(argv[2]) + "\"";
 
     check(run(tool + " --list > smoke_fuzz_list.txt") == 0,
           "--list exits 0");
@@ -118,6 +121,35 @@ main(int argc, char **argv)
                 check(cases && cases->number >= 1.0 && name,
                       "every oracle ran at least one case");
             }
+
+        // The corpus replay is in the report, so the diffs above
+        // cover it: every entry tallied under its oracle, none failed.
+        const auto *corpus = doc->find("corpus");
+        check(corpus != nullptr, "report records the corpus replay");
+        if (corpus) {
+            const auto *entries = corpus->find("entries");
+            const auto *errors = corpus->find("errors");
+            const auto *tallies = corpus->find("oracles");
+            check(entries && entries->number >= 1.0,
+                  "corpus replayed at least one entry");
+            check(errors && errors->number == 0.0,
+                  "every corpus line parsed and named an oracle");
+            double tallied = 0.0, failed = 0.0;
+            if (tallies && tallies->isArray())
+                for (const auto &o : tallies->array) {
+                    const auto *n = o.find("entries");
+                    const auto *v = o.find("violations");
+                    check(o.find("name") && n && v,
+                          "corpus tally has name, entries, violations");
+                    tallied += n ? n->number : 0.0;
+                    failed += v ? v->number : 0.0;
+                }
+            check(tallies && tallies->isArray() && !tallies->array.empty(),
+                  "corpus tally lists its oracles");
+            check(entries && tallied == entries->number,
+                  "per-oracle corpus entries sum to the total");
+            check(failed == 0.0, "no corpus entry violated its oracle");
+        }
     }
 
     // One-line reproducer replay.

@@ -10,12 +10,14 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -929,6 +931,167 @@ TEST(KeyMap, LineGroupsFitAsMinedKeysDo)
     EXPECT_NE(wide.slotOf(5), wide.slotOf(5 + (1u << 16)));
 }
 
+/**
+ * The map fit as a per-bit loop: K as one echelon row per pivot bit,
+ * every line reduced bit by bit from the top, a slot read off the
+ * non-pivot bits one at a time. KeyMap reduces a byte at a time
+ * through tables; this is its reference.
+ */
+struct BitLoopMap
+{
+    bool confident = false;
+    unsigned n = 0, dim = 0;
+    uint32_t rows[32] = {};
+    std::vector<std::vector<uint32_t>> slot_members;
+    std::vector<uint32_t> pool;
+
+    uint64_t
+    reduce(uint64_t v) const
+    {
+        for (unsigned b = n; b-- > 0;)
+            v ^= rows[b] & (0 - ((v >> b) & 1));
+        return v;
+    }
+
+    uint32_t
+    slotOf(uint64_t line) const
+    {
+        const uint64_t v = reduce(line);
+        uint32_t slot = 0;
+        unsigned pos = 0;
+        for (unsigned b = 0; b < n; ++b)
+            if (rows[b] == 0)
+                slot |= static_cast<uint32_t>((v >> b) & 1) << pos++;
+        return slot;
+    }
+
+    bool covers(uint64_t line) const { return confident && line >> n == 0; }
+
+    BitLoopMap(std::span<const std::span<const uint32_t>> groups,
+               uint32_t top)
+    {
+        pool.resize(groups.size());
+        std::iota(pool.begin(), pool.end(), 0u);
+        for (auto lines : groups) {
+            if (lines.empty())
+                return;
+            top = std::max(top, lines.back());
+        }
+        n = static_cast<unsigned>(std::bit_width(top));
+        for (size_t r = 0; r < groups.size() && dim < n; r += 2)
+            for (uint32_t line : groups[r]) {
+                const uint64_t v = reduce(line ^ groups[r].front());
+                if (v != 0) {
+                    rows[std::bit_width(v) - 1] = static_cast<uint32_t>(v);
+                    ++dim;
+                }
+            }
+        uint64_t held_out = 0;
+        for (size_t r = 1; r < groups.size(); r += 2) {
+            for (uint32_t line : groups[r])
+                if (reduce(line ^ groups[r].front()) != 0)
+                    return;
+            held_out += groups[r].size() - 1;
+        }
+        const unsigned slot_bits = n - dim;
+        if (slot_bits == 0 || slot_bits > 20 || held_out * slot_bits < 64)
+            return;
+        confident = true;
+        slot_members.resize(size_t{1} << slot_bits);
+        for (uint32_t k = 0; k < groups.size(); ++k)
+            slot_members[slotOf(groups[k].front())].push_back(k);
+    }
+};
+
+TEST(KeyMap, ByteTableFitMatchesBitLoopReference)
+{
+    Xoshiro256StarStar rng(0xB17E);
+    unsigned confident = 0, declined = 0;
+    for (unsigned round = 0; round < 600; ++round) {
+        const auto n = static_cast<unsigned>(1 + rng.nextBelow(32));
+        const uint64_t mask = (uint64_t{1} << n) - 1;
+        auto random_line = [&] {
+            return static_cast<uint32_t>(rng.next() & mask);
+        };
+        // A random kernel of dimension 0 to n, then groups of lines
+        // that each share one coset of it.
+        const auto want_dim = static_cast<unsigned>(rng.nextBelow(n + 1));
+        BitLoopMap echelon({}, 0);
+        echelon.n = n;
+        std::vector<uint32_t> basis;
+        while (basis.size() < want_dim) {
+            const uint32_t v = random_line();
+            const uint64_t r = echelon.reduce(v);
+            if (r != 0) {
+                echelon.rows[std::bit_width(r) - 1] = static_cast<uint32_t>(r);
+                basis.push_back(v);
+            }
+        }
+        std::vector<std::vector<uint32_t>> lines(1 + rng.nextBelow(40));
+        for (auto &group : lines) {
+            const uint32_t base = random_line();
+            group.resize(1 + rng.nextBelow(8));
+            for (uint32_t &line : group) {
+                line = base;
+                for (uint32_t v : basis)
+                    if (rng.chance(0.5))
+                        line ^= v;
+            }
+        }
+        // Inject a stray line (a hold-out failure when its group is
+        // odd-ranked, a wider kernel when even) or an empty group.
+        if (rng.chance(0.25))
+            lines[rng.nextBelow(lines.size())].push_back(random_line());
+        if (rng.chance(0.05))
+            lines[rng.nextBelow(lines.size())].clear();
+        std::vector<std::span<const uint32_t>> groups;
+        for (auto &group : lines) {
+            std::sort(group.begin(), group.end());
+            groups.emplace_back(group);
+        }
+        const uint32_t top = rng.chance(0.5) ? 0 : random_line();
+
+        const BitLoopMap ref(groups, top);
+        const KeyMap map(groups, top);
+        const std::string at = "round " + std::to_string(round);
+        ASSERT_EQ(map.confident(), ref.confident) << at;
+        ASSERT_EQ(map.slots(), ref.confident ? ref.slot_members.size() : 0)
+            << at;
+        ASSERT_EQ(map.kernelDim(), ref.confident ? ref.dim : 0) << at;
+        (ref.confident ? confident : declined) += 1;
+        for (unsigned probe = 0; probe < 64; ++probe) {
+            // Covered lines, lines past the fitted width, and kernel
+            // members as well as random differences.
+            const uint64_t line = rng.chance(0.8)
+                                      ? random_line()
+                                      : rng.next() & 0xFFFFFFFFFull;
+            ASSERT_EQ(map.covers(line), ref.covers(line)) << at;
+            if (ref.covers(line)) {
+                ASSERT_EQ(map.slotOf(line), ref.slotOf(line)) << at;
+                ASSERT_TRUE(std::ranges::equal(
+                    map.keysFor(line), ref.slot_members[ref.slotOf(line)]))
+                    << at << " line " << line;
+            } else {
+                ASSERT_TRUE(std::ranges::equal(map.keysFor(line), ref.pool))
+                    << at << " line " << line;
+            }
+            uint64_t d = line;
+            if (rng.chance(0.5)) {
+                d = 0;
+                for (uint32_t v : basis)
+                    if (rng.chance(0.5))
+                        d ^= v;
+            }
+            ASSERT_EQ(map.inKernel(d),
+                      ref.confident && ref.reduce(d) == 0)
+                << at << " difference " << d;
+        }
+    }
+    // Both outcomes are exercised.
+    EXPECT_GT(confident, 100u);
+    EXPECT_GT(declined, 100u);
+}
+
 TEST(KeyMap, MinedKeysCarryTheirLines)
 {
     const auto &c = skylakeCapture();
@@ -974,19 +1137,19 @@ TEST(KeyMap, EveryCoveredBlockTriesExactlyItsSlot)
     const auto &c = skylakeCapture();
     const KeyMap map(c.mined);
     ASSERT_TRUE(map.confident());
-    uint64_t non_constant = 0, slot_keys = 0, empty_slots = 0;
+    uint64_t non_constant = 0, slot_members = 0, empty_slots = 0;
     for (uint64_t line = 0; line < c.dump.size() / 64; ++line) {
         ASSERT_TRUE(map.covers(line)) << "line " << line;
         empty_slots += map.keysFor(line).empty() ? 1 : 0;
         if (isConstantBlock(c.dump.bytes().subspan(64 * line, 64)))
             continue;
         ++non_constant;
-        slot_keys += map.keysFor(line).size();
+        slot_members += map.keysFor(line).size();
     }
     SearchStats scan;
     scanAesKeyTables(exec::MemoryDumpSource(c.dump.bytes()), c.mined, {},
                      &scan);
-    EXPECT_EQ(scan.descramble_attempts, slot_keys);
+    EXPECT_EQ(scan.descramble_attempts, slot_members);
 
     auto &registry = obs::StatRegistry::global();
     auto &keyless = registry.counter("attack.search.keyless_blocks");

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -316,6 +317,127 @@ TEST(ParallelFor, ExceptionPropagates)
                      },
                      2),
                  std::runtime_error);
+}
+
+/** A pool whose every worker sits in a task until open(). */
+class ParkedPool
+{
+  public:
+    explicit ParkedPool(unsigned workers) : pool(workers)
+    {
+        for (unsigned i = 0; i < workers; ++i)
+            pool.submit([this] {
+                parked.fetch_add(1);
+                gate.wait();
+            });
+        // A worker inside its parking task claims nothing else, so
+        // each worker ends up holding one.
+        while (parked.load() < workers)
+            std::this_thread::yield();
+    }
+    ~ParkedPool() { open(); }
+
+    void
+    open()
+    {
+        if (!opened.exchange(true))
+            gate.count_down();
+    }
+
+    std::latch gate{1};
+    std::atomic<unsigned> parked{0};
+    std::atomic<bool> opened{false};
+    /** Last, so it joins its workers before the gate dies. */
+    ThreadPool pool;
+};
+
+/** Wait up to ten seconds for @p done; false on timeout. */
+template <typename Pred>
+bool
+waitFor(Pred &&done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+TEST(ParallelFor, CallingThreadClaimsChunks)
+{
+    // Every worker is parked, so only the calling thread can make
+    // progress: it must visit every chunk itself, then wait for its
+    // submitted tasks, queued behind the parked ones, before it
+    // returns.
+    constexpr uint64_t kChunks = 16;
+    ParkedPool parked(2);
+    ThreadPool::ScopedGlobalOverride ov(parked.pool);
+    std::atomic<uint64_t> visited{0};
+    std::atomic<bool> elsewhere{false}, returned{false};
+    // The caller runs on a pool of its own, outside the parked one.
+    ThreadPool caller(1);
+    ThreadPool::TaskGroup call(caller);
+    call.run([&] {
+        const auto self = std::this_thread::get_id();
+        parallelForChunks(0, kChunks, 1, [&](const ChunkRange &) {
+            if (std::this_thread::get_id() != self)
+                elsewhere = true;
+            visited.fetch_add(1);
+        });
+        returned = true;
+    });
+    EXPECT_TRUE(waitFor([&] { return visited.load() == kChunks; }))
+        << "the caller visited " << visited.load() << " of " << kChunks
+        << " chunks while the workers were parked";
+    EXPECT_FALSE(elsewhere.load());
+    EXPECT_FALSE(returned.load())
+        << "returned before its submitted tasks ran";
+    parked.open();
+    call.wait();
+    EXPECT_TRUE(returned.load());
+    EXPECT_EQ(visited.load(), kChunks);
+}
+
+TEST(ParallelFor, CallerExceptionWaitsForSubmittedTasks)
+{
+    // The caller's first chunk throws while every worker is parked.
+    // The exception must reach the caller only after the submitted
+    // tasks have run, and they visit every other chunk.
+    constexpr uint64_t kChunks = 16;
+    ParkedPool parked(2);
+    ThreadPool::ScopedGlobalOverride ov(parked.pool);
+    std::atomic<uint64_t> visited{0};
+    std::atomic<bool> returned{false};
+    uint64_t visited_at_throw = 0;
+    std::string what;
+    ThreadPool caller(1);
+    ThreadPool::TaskGroup call(caller);
+    call.run([&] {
+        const auto self = std::this_thread::get_id();
+        try {
+            parallelForChunks(0, kChunks, 1, [&](const ChunkRange &) {
+                visited.fetch_add(1);
+                if (std::this_thread::get_id() == self)
+                    throw std::runtime_error("caller chunk");
+            });
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+            visited_at_throw = visited.load();
+        }
+        returned = true;
+    });
+    EXPECT_TRUE(waitFor([&] { return visited.load() > 0; }))
+        << "the caller ran no chunk while the workers were parked";
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(returned.load())
+        << "the exception propagated before the submitted tasks ran";
+    parked.open();
+    call.wait();
+    EXPECT_EQ(what, "caller chunk");
+    EXPECT_EQ(visited_at_throw, kChunks);
 }
 
 TEST(ParallelFor, OrderedReductionIsDeterministic)

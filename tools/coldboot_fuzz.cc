@@ -20,6 +20,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,6 +58,7 @@ usage()
         "                        (default: the shared global pool)\n"
         "  --corpus <dir>        also replay every *.corpus file\n"
         "  --report <file>       write the campaign report JSON\n"
+        "                        (with the corpus replay's tally)\n"
         "  --stats-json <file>   write the stats registry as JSON\n"
         "  --no-reduce           skip violation minimization\n"
         "  --list                list the oracle catalogue and exit\n"
@@ -101,15 +104,18 @@ reproduce(const std::string &line)
     return 0;
 }
 
-/** Replay a corpus directory; returns the number of violations. */
-uint64_t
+/** Replay a corpus directory, tallying each named oracle. */
+fuzz::CorpusReplay
 replayCorpus(const std::string &dir)
 {
     std::vector<std::string> errors;
     auto entries = fuzz::loadCorpusDir(dir, &errors);
     for (const auto &e : errors)
         std::fprintf(stderr, "corpus: %s\n", e.c_str());
-    uint64_t violations = errors.size();
+    fuzz::CorpusReplay replay;
+    replay.entries = entries.size();
+    replay.errors = errors.size();
+    std::map<std::string, fuzz::CorpusReplay::OracleTally> tallies;
 
     for (const auto &entry : entries) {
         const fuzz::Oracle *oracle = fuzz::findOracle(entry.oracle);
@@ -118,22 +124,28 @@ replayCorpus(const std::string &dir)
                          "corpus: %s:%u: unknown oracle '%s'\n",
                          entry.file.c_str(), entry.line,
                          entry.oracle.c_str());
-            ++violations;
+            ++replay.errors;
             continue;
         }
+        auto &tally = tallies[entry.oracle];
+        ++tally.entries;
         auto res = oracle->run(entry.params);
         if (res.violation) {
             std::printf("VIOLATION (corpus %s:%u) %s\n  %s\n",
                         entry.file.c_str(), entry.line,
                         fuzz::formatCorpusEntry(entry).c_str(),
                         res.message.c_str());
-            ++violations;
+            ++tally.violations;
         }
+    }
+    for (auto &[name, tally] : tallies) {
+        tally.name = name;
+        replay.oracles.push_back(tally);
     }
     std::printf("corpus: %zu entries replayed, %llu violations\n",
                 entries.size(),
-                static_cast<unsigned long long>(violations));
-    return violations;
+                static_cast<unsigned long long>(replay.violations()));
+    return replay;
 }
 
 } // anonymous namespace
@@ -143,7 +155,6 @@ main(int argc, char **argv)
 {
     fuzz::CampaignConfig config;
     std::string corpus_dir, report_path, stats_path;
-    bool run_campaign = true;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -267,9 +278,11 @@ main(int argc, char **argv)
     }
 
     uint64_t violations = 0;
+    std::optional<fuzz::CampaignReport> campaign;
 
-    if (run_campaign && config.seed_end > config.seed_begin) {
-        fuzz::CampaignReport report = fuzz::runCampaign(config);
+    if (config.seed_end > config.seed_begin) {
+        fuzz::CampaignReport &report =
+            campaign.emplace(fuzz::runCampaign(config));
         violations += report.total_violations;
 
         std::printf(
@@ -301,14 +314,18 @@ main(int argc, char **argv)
                 "regression test:\n%s",
                 fuzz::gtestSnippet(v.oracle, v.params).c_str());
         }
-
-        if (!report_path.empty())
-            obs::writeFileCreatingDirs(report_path, report.toJson(),
-                                       "fuzz campaign report");
     }
 
-    if (!corpus_dir.empty())
-        violations += replayCorpus(corpus_dir);
+    if (!corpus_dir.empty()) {
+        fuzz::CorpusReplay replay = replayCorpus(corpus_dir);
+        violations += replay.violations();
+        if (campaign)
+            campaign->corpus = std::move(replay);
+    }
+
+    if (campaign && !report_path.empty())
+        obs::writeFileCreatingDirs(report_path, campaign->toJson(),
+                                   "fuzz campaign report");
 
     if (!stats_path.empty())
         obs::StatRegistry::global().writeJsonFile(stats_path);
