@@ -1,13 +1,13 @@
 /**
  * @file
- * Observability tax: how much does causal tracing + the flight
- * recorder cost a key-mining sweep?
+ * Observability tax: how much does causal tracing cost a key-mining
+ * sweep?
  *
- * The deep-profiling layer is sold as "cheap enough to leave on";
- * this bench holds it to that. The same cold-boot dump is mined
- * twice per repetition - once with the tracer and flight recorder
- * off, once with both on - and the overhead lands in BENCH.json where
- * `bench_compare` turns a tracing-cost regression into a CI failure.
+ * The tracing layer is sold as "cheap enough to leave on"; this
+ * bench holds it to that. The same cold-boot dump is mined twice per
+ * repetition - once with the tracer off, once on - and the overhead
+ * lands in BENCH.json where `bench_compare` turns a tracing-cost
+ * regression into a CI failure.
  *
  * Determinism cross-check rides along for free: both sweeps must
  * mine byte-identical key sets (DESIGN.md §9/§12), so a divergence
@@ -24,7 +24,6 @@
 #include "common/units.hh"
 #include "dram/dram_module.hh"
 #include "obs/bench.hh"
-#include "obs/flight.hh"
 #include "obs/trace.hh"
 #include "platform/coldboot.hh"
 #include "platform/machine.hh"
@@ -78,22 +77,17 @@ COLDBOOT_BENCH(trace_overhead)
     auto cold = coldBootTransfer(victim, attacker, 0);
 
     obs::PhaseTracer &tracer = obs::PhaseTracer::global();
-    obs::FlightRecorder &flight = obs::FlightRecorder::global();
     const bool was_tracing = tracer.enabled();
-    const bool was_flight = flight.enabled();
 
-    // Off: no spans, no flight rings.
+    // Off: no spans recorded.
     tracer.setEnabled(false);
-    flight.setEnabled(false);
     double off_secs = mineOnce(cold.dump);
 
-    // On: spans + flow events + flight rings.
+    // On: spans + flow events.
     tracer.setEnabled(true);
-    flight.setEnabled(true);
     double on_secs = mineOnce(cold.dump);
 
     tracer.setEnabled(was_tracing);
-    flight.setEnabled(was_flight);
 
     double overhead_pct =
         off_secs > 0.0 ? (on_secs - off_secs) / off_secs * 100.0
@@ -104,9 +98,9 @@ COLDBOOT_BENCH(trace_overhead)
                 overhead_pct);
 
     ctx.report("trace_overhead.off_seconds", off_secs,
-               "mining sweep, tracing+flight disabled");
+               "mining sweep, tracing disabled");
     ctx.report("trace_overhead.on_seconds", on_secs,
-               "mining sweep, tracing+flight enabled");
+               "mining sweep, tracing enabled");
     ctx.report("trace_overhead.overhead_percent", overhead_pct,
                "relative cost of the observability layer");
     ctx.setBytesProcessed(2 * cold.dump.size());

@@ -17,8 +17,6 @@ namespace
 
 std::atomic<LogLevel> globalLevel{LogLevel::Info};
 std::atomic<LogFormat> globalFormat{LogFormat::Plain};
-std::atomic<LogHook> globalLogHook{nullptr};
-std::atomic<FatalHook> globalFatalHook{nullptr};
 std::once_flag envInitOnce;
 std::mutex emitMutex;
 
@@ -127,18 +125,6 @@ logFormat()
     return globalFormat.load(std::memory_order_relaxed);
 }
 
-void
-setLogHook(LogHook hook)
-{
-    globalLogHook.store(hook, std::memory_order_release);
-}
-
-void
-setFatalHook(FatalHook hook)
-{
-    globalFatalHook.store(hook, std::memory_order_release);
-}
-
 namespace detail
 {
 
@@ -200,9 +186,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     emit(stderr, "fatal",
          msg + " (" + file + ":" + std::to_string(line) + ")");
-    if (FatalHook hook =
-            globalFatalHook.load(std::memory_order_acquire))
-        hook(msg.c_str());
     std::exit(1);
 }
 
@@ -218,24 +201,16 @@ void
 warnImpl(const std::string &msg)
 {
     ensureEnvInit();
-    if (logLevel() >= LogLevel::Warn) {
+    if (logLevel() >= LogLevel::Warn)
         emit(stderr, "warn", msg);
-        if (LogHook hook =
-                globalLogHook.load(std::memory_order_acquire))
-            hook(0, msg.c_str());
-    }
 }
 
 void
 informImpl(const std::string &msg)
 {
     ensureEnvInit();
-    if (logLevel() >= LogLevel::Info) {
+    if (logLevel() >= LogLevel::Info)
         emit(stdout, "info", msg);
-        if (LogHook hook =
-                globalLogHook.load(std::memory_order_acquire))
-            hook(1, msg.c_str());
-    }
 }
 
 } // namespace detail

@@ -47,29 +47,6 @@ void setLogFormat(LogFormat format);
 /** Current global line format. */
 LogFormat logFormat();
 
-/**
- * Observer invoked (after emission, outside the emit lock) for every
- * warn/inform record that passes the level filter. @p level is 0 for
- * warn, 1 for inform. Must be fast and must not log. The obs flight
- * recorder installs one so log records land in the crash rings;
- * cb_common itself never depends on the observer.
- */
-using LogHook = void (*)(int level, const char *msg);
-
-/**
- * Observer invoked by cb_fatal after the message is emitted, just
- * before std::exit(1) - the flight recorder's chance to write its
- * post-mortem dump. Not called for cb_panic: that path aborts, and
- * SIGABRT already reaches the crash-signal handler.
- */
-using FatalHook = void (*)(const char *msg);
-
-/** Install (or with nullptr, remove) the log observer. */
-void setLogHook(LogHook hook);
-
-/** Install (or with nullptr, remove) the fatal observer. */
-void setFatalHook(FatalHook hook);
-
 namespace detail
 {
 

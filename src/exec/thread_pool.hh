@@ -145,8 +145,9 @@ class ThreadPool
     /**
      * Mirror stats() into the StatRegistry as per-worker scalars:
      * `exec.pool.worker.<i>.{tasks_executed,steals,tasks_stolen,
-     * parks,idle_seconds,queue_high_water}`. obs::Runtime calls this
-     * every refresh tick so scrapes see live per-worker load.
+     * parks,idle_seconds,queue_high_water}`. The readers call it:
+     * each `/metrics` and `/stats` scrape, and obs::Runtime before
+     * it writes `--stats-json`.
      */
     void publishWorkerStats() const;
 

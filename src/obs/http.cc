@@ -13,7 +13,6 @@
 #include "common/logging.hh"
 #include "exec/thread_pool.hh"
 #include "obs/export.hh"
-#include "obs/flight.hh"
 #include "obs/progress.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -175,7 +174,9 @@ ObsHttpServer::handleConnection(int fd)
     resp += "Content-Type: " + content_type + "\r\n";
     resp += "Content-Length: " + std::to_string(body.size()) + "\r\n";
     resp += "Connection: close\r\n\r\n";
-    resp += body;
+    // HEAD gets the headers a GET would, never the body (RFC 9110).
+    if (method != "HEAD")
+        resp += body;
     sendAll(fd, resp);
     requests.fetch_add(1, std::memory_order_relaxed);
 }
@@ -193,22 +194,19 @@ ObsHttpServer::route(const std::string &method,
         return 200;
     }
     if (path == "/metrics") {
+        exec::ThreadPool::publishGlobalWorkerStats();
         body = renderPrometheusText(StatRegistry::global().snapshotAll());
         content_type = "text/plain; version=0.0.4; charset=utf-8";
         return 200;
     }
     if (path == "/stats") {
+        exec::ThreadPool::publishGlobalWorkerStats();
         body = StatRegistry::global().dumpJson();
         content_type = "application/json";
         return 200;
     }
     if (path == "/trace") {
         body = PhaseTracer::global().chromeTraceJson();
-        content_type = "application/json";
-        return 200;
-    }
-    if (path == "/flight") {
-        body = FlightRecorder::global().dumpJson();
         content_type = "application/json";
         return 200;
     }

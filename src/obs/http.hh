@@ -10,9 +10,13 @@
  *   /metrics       Prometheus text exposition 0.0.4
  *   /stats         StatRegistry JSON dump
  *   /trace         Chrome trace (chrome://tracing / Perfetto)
- *   /flight        flight-recorder rings + stats snapshot (JSON)
  *   /progress      job progress / ETA (JSON)
  *   /quit          raises quitRequested() (test/linger hook)
+ *
+ * `/metrics` and `/stats` first mirror the global pool's per-worker
+ * counters into the registry (exec::ThreadPool::
+ * publishGlobalWorkerStats), so a scrape sees them as of now. `HEAD`
+ * answers any path with the headers of its `GET` and no body.
  *
  * Binding defaults to 127.0.0.1 - telemetry for a key-extraction
  * attack is itself sensitive, so nothing listens beyond localhost

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/flight.hh"
 #include "obs/json.hh"
 
 namespace coldboot::obs
@@ -17,17 +16,6 @@ ProgressJob::ProgressJob(uint64_t id_, std::string name_,
     : job_id(id_), job_name(std::move(name_)), total(total_),
       start(std::chrono::steady_clock::now())
 {
-}
-
-void
-ProgressJob::advance(uint64_t units)
-{
-    uint64_t before =
-        done.fetch_add(units, std::memory_order_relaxed);
-    if (FlightRecorder *fr = FlightRecorder::instance();
-        fr && fr->enabled())
-        fr->record(FlightKind::Counter, job_name.c_str(), units,
-                   before + units);
 }
 
 void

@@ -53,14 +53,11 @@ class ProgressJob
         return done.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Record @p units of completed work (relaxed atomic add). Also
-     * drops a Counter breadcrumb into the flight recorder when that
-     * is enabled, so a post-mortem shows how far each job had
-     * progressed - observation-only either way, so the determinism
-     * contract (DESIGN.md §9) is untouched.
-     */
-    void advance(uint64_t units);
+    /** Record @p units of completed work (relaxed atomic add). */
+    void advance(uint64_t units)
+    {
+        done.fetch_add(units, std::memory_order_relaxed);
+    }
 
     /**
      * Mark the job complete: progress snaps to 100%, the end time is

@@ -11,7 +11,6 @@
 
 #include "common/logging.hh"
 #include "exec/thread_pool.hh"
-#include "obs/flight.hh"
 #include "obs/http.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -53,24 +52,19 @@ const char *const Runtime::usage =
     "                        JSON at exit\n"
     "  --serve-obs <[addr:]port>\n"
     "                        serve live telemetry over HTTP\n"
-    "                        (/metrics /stats /trace /flight\n"
-    "                        /progress /healthz); port 0\n"
-    "                        picks an ephemeral port\n"
-    "  --flight-record <file>\n"
-    "                        arm the flight recorder: per-thread\n"
-    "                        event rings + post-mortem JSON at <file>\n"
-    "                        on SIGSEGV/SIGBUS/SIGABRT or cb_fatal\n";
+    "                        (/metrics /stats /trace /progress\n"
+    "                        /healthz); port 0 picks an ephemeral\n"
+    "                        port\n";
 
 Runtime::Runtime(int &argc, char **argv)
 {
     int kept = argc > 0 ? 1 : 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        std::string *value = arg == "--stats-json"      ? &stats_path
-                             : arg == "--trace"         ? &trace_path
-                             : arg == "--serve-obs"     ? &serve_spec
-                             : arg == "--flight-record" ? &flight_path
-                                                        : nullptr;
+        std::string *value = arg == "--stats-json"  ? &stats_path
+                             : arg == "--trace"     ? &trace_path
+                             : arg == "--serve-obs" ? &serve_spec
+                                                    : nullptr;
         if (value == nullptr)
             argv[kept++] = argv[i];
         else if (i + 1 < argc)
@@ -86,15 +80,6 @@ Runtime::~Runtime()
 {
     if (!started)
         return;
-    if (refresh_pool != nullptr) {
-        {
-            std::lock_guard<std::mutex> lock(refresh_mu);
-            refresh_stopping = true;
-        }
-        refresh_cv.notify_all();
-        // Pool destruction runs the loop to completion and joins.
-        refresh_pool.reset();
-    }
     finish();
     g_flush_on_signal.store(nullptr);
     std::signal(SIGINT, SIG_DFL);
@@ -105,32 +90,6 @@ void
 Runtime::start(OnSignal on_signal)
 {
     started = true;
-    // Before any work starts: crash forensics are only useful if the
-    // rings recorded from the beginning of the run. Serving without
-    // a dump path still records, so GET /flight has data.
-    if (!flight_path.empty())
-        FlightRecorder::global().installCrashHandler(flight_path);
-    else if (!serve_spec.empty())
-        FlightRecorder::global().setEnabled(true);
-    if (!flight_path.empty() || !serve_spec.empty()) {
-        // The crash handler cannot walk the registry from a signal
-        // context, so it embeds the snapshot rendered here; the
-        // pool's per-worker counters ride along and reach /metrics.
-        // The first refresh runs on this thread, before any work.
-        auto refresh = [] {
-            exec::ThreadPool::publishGlobalWorkerStats();
-            FlightRecorder::global().updateStatsSnapshot();
-        };
-        refresh();
-        refresh_pool = std::make_unique<exec::ThreadPool>(1);
-        refresh_pool->submit([this, refresh] {
-            std::unique_lock<std::mutex> lock(refresh_mu);
-            while (!refresh_cv.wait_for(lock, refreshPeriod, [this] {
-                return refresh_stopping;
-            }))
-                refresh();
-        });
-    }
     if (!trace_path.empty())
         PhaseTracer::global().setEnabled(true);
 
@@ -166,8 +125,10 @@ Runtime::finish()
 {
     if (!started || finished.load())
         return;
-    if (!stats_path.empty())
+    if (!stats_path.empty()) {
+        exec::ThreadPool::publishGlobalWorkerStats();
         StatRegistry::global().writeJsonFile(stats_path);
+    }
     if (!trace_path.empty())
         PhaseTracer::global().writeTraceFile(trace_path);
     // Set only now, so a signal landing mid-write rewrites the files

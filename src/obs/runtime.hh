@@ -1,7 +1,7 @@
 /**
  * @file
  * The observability bootstrap shared by coldboot-tool,
- * coldboot-served and coldboot-bench: four command-line flags
+ * coldboot-served and coldboot-bench: three command-line flags
  * (Runtime::usage), the sinks they arm, SIGINT/SIGTERM handling, and
  * the stats/trace flush at exit.
  *
@@ -10,29 +10,18 @@
  * export it - `--trace`, or a server serving `/trace` - so a process
  * never buffers spans that nobody writes.
  *
- * While the flight recorder is on (`--flight-record`, or
- * `--serve-obs` for `/flight`), a refresh loop re-renders its crash
- * stats snapshot and mirrors the global pool's per-worker counters
- * into the registry every refreshPeriod, on its own single-worker
- * exec::ThreadPool: a crash dump or scrape then shows stats at most
- * one period old. It only reads workload stats, so results stay
- * byte-identical with it on or off (DESIGN.md §9).
+ * The global pool's per-worker counters reach the registry only when
+ * a reader asks: a `/metrics` or `/stats` scrape, or finish() just
+ * before it writes `--stats-json`. No background thread refreshes
+ * them.
  */
 
 #ifndef COLDBOOT_OBS_RUNTIME_HH
 #define COLDBOOT_OBS_RUNTIME_HH
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-
-namespace coldboot::exec
-{
-class ThreadPool;
-} // namespace coldboot::exec
 
 namespace coldboot::obs
 {
@@ -42,8 +31,8 @@ class ObsHttpServer;
 /**
  * One per process. Construction strips the shared flags from argv;
  * start() arms what they ask for; finish() (or destruction) writes
- * the requested files once; destruction stops the refresh loop and
- * the HTTP plane and restores default signal handling.
+ * the requested files once; destruction stops the HTTP plane and
+ * restores default signal handling.
  */
 class Runtime
 {
@@ -62,9 +51,6 @@ class Runtime
     /** Usage lines for the shared flags. */
     static const char *const usage;
 
-    /** Period of the flight recorder's stats refresh. */
-    static constexpr std::chrono::milliseconds refreshPeriod{250};
-
     /**
      * Remove the shared flags and their values from @p argv wherever
      * they appear, keeping every other argument in order and
@@ -81,10 +67,8 @@ class Runtime
     const std::string &error() const { return arg_error; }
 
     /**
-     * Arm the flight recorder (crash handler with `--flight-record`,
-     * recording alone with `--serve-obs`) and its refresh loop, and
-     * the global tracer (`--trace`); start the HTTP
-     * server and announce the bound address on stdout; install the
+     * Arm the global tracer (`--trace`); start the HTTP server and
+     * announce the bound address on stdout; install the
      * SIGINT/SIGTERM handler. cb_fatal()s when the `--serve-obs`
      * endpoint is malformed or cannot be bound.
      */
@@ -93,8 +77,9 @@ class Runtime
     /** The first SIGINT/SIGTERM received (0 = none). */
     static int signalReceived();
 
-    /** Write the requested stats/trace files. Once; no-op before
-     *  start(). Runs whether or not the command succeeded. */
+    /** Write the requested stats/trace files, the stats after
+     *  mirroring the global pool's per-worker counters. Once; no-op
+     *  before start(). Runs whether or not the command succeeded. */
     void finish();
 
     /**
@@ -105,16 +90,10 @@ class Runtime
     void linger();
 
   private:
-    std::string stats_path, trace_path, serve_spec, flight_path;
+    std::string stats_path, trace_path, serve_spec;
     std::string arg_error;
     bool started = false;
     std::atomic<bool> finished{false};
-
-    std::mutex refresh_mu;
-    std::condition_variable refresh_cv;
-    bool refresh_stopping = false;
-    /** Hosts the refresh loop; null when the recorder is off. */
-    std::unique_ptr<exec::ThreadPool> refresh_pool;
     std::unique_ptr<ObsHttpServer> server;
 };
 

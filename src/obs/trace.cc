@@ -1,12 +1,11 @@
 #include "obs/trace.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "obs/flight.hh"
 #include "obs/fsio.hh"
+#include "obs/json.hh"
 #include "obs/stats.hh"
 
 namespace coldboot::obs
@@ -14,35 +13,6 @@ namespace coldboot::obs
 
 namespace
 {
-
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        v = 0.0;
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
 
 /** Span/flow ids render as hex strings: Chrome's flow-id matching
  *  and Perfetto's args display both take them verbatim. */
@@ -264,10 +234,10 @@ PhaseTracer::chromeTraceJson() const
         out += i ? ",\n " : "\n ";
         switch (e.phase) {
         case TraceEvent::Phase::Complete: {
-            out += "{\"name\": \"" + jsonEscape(e.name) +
+            out += "{\"name\": \"" + json::escape(e.name) +
                    "\", \"cat\": \"span\", \"ph\": \"X\", \"ts\": " +
-                   jsonNumber(e.ts_us) +
-                   ", \"dur\": " + jsonNumber(e.dur_us) +
+                   json::number(e.ts_us) +
+                   ", \"dur\": " + json::number(e.dur_us) +
                    ", \"pid\": 1, \"tid\": " + std::to_string(e.tid) +
                    ", \"args\": {\"span\": \"" + hexId(e.id) +
                    "\", \"parent\": \"" + hexId(e.parent) + "\"";
@@ -277,17 +247,17 @@ PhaseTracer::chromeTraceJson() const
             break;
         }
         case TraceEvent::Phase::FlowStart:
-            out += "{\"name\": \"" + jsonEscape(e.name) +
+            out += "{\"name\": \"" + json::escape(e.name) +
                    "\", \"cat\": \"flow\", \"ph\": \"s\", \"id\": \"" +
-                   hexId(e.id) + "\", \"ts\": " + jsonNumber(e.ts_us) +
+                   hexId(e.id) + "\", \"ts\": " + json::number(e.ts_us) +
                    ", \"pid\": 1, \"tid\": " + std::to_string(e.tid) +
                    "}";
             break;
         case TraceEvent::Phase::FlowFinish:
-            out += "{\"name\": \"" + jsonEscape(e.name) +
+            out += "{\"name\": \"" + json::escape(e.name) +
                    "\", \"cat\": \"flow\", \"ph\": \"f\", \"bp\": "
                    "\"e\", \"id\": \"" +
-                   hexId(e.id) + "\", \"ts\": " + jsonNumber(e.ts_us) +
+                   hexId(e.id) + "\", \"ts\": " + json::number(e.ts_us) +
                    ", \"pid\": 1, \"tid\": " + std::to_string(e.tid) +
                    "}";
             break;
@@ -333,7 +303,6 @@ ScopedSpan::ScopedSpan(std::string name_, PhaseTracer &tracer_)
     parent_id = shard->current_span;
     saved_context = shard->current_span;
     shard->current_span = span_id;
-    begin();
 }
 
 ScopedSpan::ScopedSpan(std::string name_, uint64_t parent_span,
@@ -346,16 +315,6 @@ ScopedSpan::ScopedSpan(std::string name_, uint64_t parent_span,
     parent_id = parent_span;
     saved_context = shard->current_span;
     shard->current_span = span_id;
-    begin();
-}
-
-void
-ScopedSpan::begin()
-{
-    if (FlightRecorder *fr = FlightRecorder::instance();
-        fr && fr->enabled())
-        fr->record(FlightKind::SpanBegin, name.c_str(), span_id,
-                   parent_id);
 }
 
 ScopedSpan::~ScopedSpan()
@@ -384,11 +343,6 @@ ScopedSpan::stop()
     ev.id = span_id;
     ev.parent = parent_id;
     ev.flow = flow_id;
-
-    if (FlightRecorder *fr = FlightRecorder::instance();
-        fr && fr->enabled())
-        fr->record(FlightKind::SpanEnd, name.c_str(), span_id,
-                   static_cast<uint64_t>(dur_us));
 
     // The flow arrow must terminate *inside* this span's slice:
     // stamp the finish at the span midpoint so viewers bind it here

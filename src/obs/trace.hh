@@ -116,8 +116,7 @@ class PhaseTracer
      * armed by a sink that will export them - a binary's `--trace`
      * (runtime.hh) or an ObsHttpServer serving /trace - so a
      * long-lived process with no sink does not accumulate spans.
-     * Unarmed spans still time themselves and feed the flight
-     * recorder.
+     * Unarmed spans still time themselves.
      */
     static PhaseTracer &global();
 
@@ -210,8 +209,7 @@ class PhaseTracer
 /**
  * RAII span: assigns itself an id, links to the thread's current
  * span as parent, becomes the current span for its lifetime, and
- * records a complete trace event (plus a flight-recorder begin/end
- * breadcrumb pair) when it goes out of scope.
+ * records a complete trace event when it goes out of scope.
  */
 class ScopedSpan
 {
@@ -248,8 +246,6 @@ class ScopedSpan
     double stop();
 
   private:
-    void begin();
-
     PhaseTracer &tracer;
     TraceShard *shard;
     std::string name;

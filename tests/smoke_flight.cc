@@ -1,8 +1,8 @@
 /**
  * @file
- * Pure-ctest smoke test for the deep-profiling plane (causal traces +
- * flight recorder): build a tiny cold-boot dump in-process, then
- * drive `coldboot-tool` end to end:
+ * Pure-ctest smoke test for causal tracing (the name dates from the
+ * retired flight recorder it once also covered): build a tiny
+ * cold-boot dump in-process, then drive `coldboot-tool` end to end:
  *
  *  - `attack --threads 4 --trace` must emit Chrome
  *    trace_event JSON in which every pool task's "exec.task" slice is
@@ -12,13 +12,8 @@
  *    enclosing spans - the structural properties Perfetto needs to
  *    draw the arrows;
  *
- *  - `crash-test --flight-record` must die by the induced signal
- *    (SIGSEGV, then SIGABRT) and leave a parseable post-mortem JSON
- *    naming the signal and carrying the crashing thread's last
- *    breadcrumbs plus a stats snapshot refreshed mid-run;
- *
  *  - the determinism gate: key-recovery output must be byte-identical
- *    with tracing + flight recording on vs off, at pool
+ *    with tracing + the live telemetry server on vs off, at pool
  *    widths 1 and 4 (DESIGN.md §9/§12 - observation must not perturb
  *    results).
  *
@@ -238,86 +233,6 @@ traceStructureTest(const std::string &tool,
     check(saw_parallel_for, "exec.parallel_for submit span recorded");
 }
 
-/** One induced crash; validates the post-mortem JSON it leaves. */
-void
-crashForensicsOnce(const std::string &tool,
-                   const std::string &dump_path, bool use_abort,
-                   int want_signal, const char *want_reason)
-{
-    const std::string post_path = use_abort
-        ? "smoke_flight_post_abort.json"
-        : "smoke_flight_post_segv.json";
-    std::remove(post_path.c_str());
-
-    std::string cmd = "\"" + tool + "\" crash-test \"" + dump_path +
-                      "\"" + (use_abort ? " abort" : "") +
-                      " --flight-record \"" + post_path +
-                      "\" 2>&1";
-    std::printf("+ %s\n", cmd.c_str());
-    std::string output;
-    int rc = runCapture(cmd, output);
-    // The tool must die by the induced signal (the shell reports
-    // 128+sig), not exit in an orderly way.
-    check(rc > 0 && rc != 1 * 256, "crash-test dies by signal");
-    check(output.find("post-mortem") != std::string::npos,
-          "crash handler announces the dump on stderr");
-
-    auto doc = obs::json::parseFile(post_path);
-    check(doc.has_value(), "post-mortem JSON parses");
-    if (!doc.has_value())
-        return;
-
-    check(numField(*doc, "signal") == want_signal,
-          "post-mortem names the fatal signal");
-    check(strField(*doc, "reason") == want_reason,
-          "post-mortem names the signal reason");
-
-    int crashing = static_cast<int>(numField(*doc, "crashing_ring"));
-    check(crashing >= 0, "crashing ring identified");
-
-    const auto *threads = doc->find("threads");
-    check(threads != nullptr && !threads->array.empty(),
-          "post-mortem carries per-thread event rings");
-    bool crashing_has_events = false;
-    bool saw_warn_breadcrumb = false;
-    if (threads != nullptr) {
-        for (const auto &t : threads->array) {
-            const auto *events = t.find("events");
-            if (events == nullptr)
-                continue;
-            if (static_cast<int>(numField(t, "ring")) == crashing &&
-                !events->array.empty())
-                crashing_has_events = true;
-            for (const auto &e : events->array)
-                if (strField(e, "name").rfind("crash-test: raising",
-                                              0) == 0)
-                    saw_warn_breadcrumb = true;
-        }
-    }
-    check(crashing_has_events,
-          "crashing thread's last events captured");
-    check(saw_warn_breadcrumb,
-          "pre-crash warn breadcrumb visible in a ring");
-
-    const auto *stats = doc->find("stats");
-    const auto *tree = stats != nullptr ? stats->find("stats") : nullptr;
-    check(tree != nullptr, "pre-rendered stats snapshot embedded");
-    // crash-test outlasts one refresh tick, which mirrors the global
-    // pool's per-worker counters into the snapshot.
-    check(tree != nullptr &&
-              tree->find("exec.pool.worker.0.tasks_executed") != nullptr,
-          "stats snapshot refreshed after the run started");
-    std::remove(post_path.c_str());
-}
-
-void
-crashForensicsTest(const std::string &tool,
-                   const std::string &dump_path)
-{
-    crashForensicsOnce(tool, dump_path, false, 11, "SIGSEGV");
-    crashForensicsOnce(tool, dump_path, true, 6, "SIGABRT");
-}
-
 void
 determinismTest(const std::string &tool, const std::string &dump_path)
 {
@@ -328,9 +243,10 @@ determinismTest(const std::string &tool, const std::string &dump_path)
     };
     const std::string base = "\"" + tool + "\" attack \"" + dump_path +
                              "\"";
-    const std::string obs_on =
-        " --trace smoke_flight_det_trace.json"
-        " --flight-record smoke_flight_det_post.json";
+    // The server's banner line is not a key line, so the filter
+    // drops it.
+    const std::string obs_on = " --trace smoke_flight_det_trace.json"
+                               " --serve-obs 127.0.0.1:0";
     std::vector<Variant> variants = {
         {"threads=1 obs=off", base + " --threads 1"},
         {"threads=1 obs=on", base + " --threads 1" + obs_on},
@@ -358,12 +274,6 @@ determinismTest(const std::string &tool, const std::string &dump_path)
                          v.label, reference.c_str(), filtered.c_str());
         check(same, "attack results byte-identical to reference");
     }
-    // No crash happened, so the armed recorder must not have written
-    // a post-mortem artifact.
-    std::FILE *f = std::fopen("smoke_flight_det_post.json", "r");
-    check(f == nullptr, "no post-mortem written on clean runs");
-    if (f != nullptr)
-        std::fclose(f);
     std::remove("smoke_flight_det_trace.json");
 }
 
@@ -381,7 +291,6 @@ main(int argc, char **argv)
     writeTinyDump(dump_path);
 
     traceStructureTest(tool, dump_path);
-    crashForensicsTest(tool, dump_path);
     determinismTest(tool, dump_path);
 
     if (failures) {

@@ -7,8 +7,9 @@
  *
  *  - read the announced ephemeral port from its stdout;
  *  - scrape /healthz, /metrics (validated against the in-tree
- *    Prometheus exposition validator), /stats and /progress over
- *    raw sockets;
+ *    Prometheus exposition validator, and carrying the pool's
+ *    per-worker scalars on the first scrape), /stats and /progress
+ *    over raw sockets;
  *  - verify per-job /progress percent is monotonically
  *    non-decreasing across scrapes;
  *  - verify the final scraped /stats counters match the --stats-json
@@ -303,17 +304,9 @@ liveScrapeTest(const std::string &tool, const std::string &dump_path)
     check(all_done, "every job finished at 100%");
 
     // /metrics must be valid Prometheus text exposition while live.
-    // The per-worker scalars are mirrored every 250 ms, so an attack
-    // shorter than that can finish before the first mirror of the
-    // pool it ran on: give the lingering tool a few periods.
+    // Each scrape mirrors the pool's per-worker scalars first, so
+    // the first one after the attack already carries them.
     auto metrics = httpGet(port, "/metrics");
-    for (int poll = 0;
-         poll < 40 && metrics.body.find("exec_pool_worker_0_") ==
-                          std::string::npos;
-         ++poll) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        metrics = httpGet(port, "/metrics");
-    }
     check(metrics.status == 200, "/metrics answers 200");
     check(metrics.raw.find("text/plain; version=0.0.4") !=
               std::string::npos,

@@ -167,7 +167,8 @@ main(int argc, char **argv)
         {"simulate-victim " + paths + " 4 1 extra",
          "unknown option 'extra'"},
         {"decrypt " + volume + " 00 00 three", "bad sector 'three'"},
-        {"crash-test " + victim + " segv", "unknown option 'segv'"},
+        {"attack " + victim + " --flight-record f.json",
+         "unknown option '--flight-record'"},
     };
     for (const auto &r : rejected)
         expectCleanFailure(tool, r.args, 2, r.needle, r.args);

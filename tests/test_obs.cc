@@ -254,11 +254,14 @@ TEST(Tracer, ChromeTraceJsonHasRequiredFields)
     {
         ScopedSpan a("mine", tracer);
         ScopedSpan b("search", tracer);
+        // Needs escaping, and ends in a stray non-UTF-8 byte.
+        ScopedSpan c("q\"b\\\n\xff", tracer);
     }
     auto doc = json::parse(tracer.chromeTraceJson());
     ASSERT_TRUE(doc.has_value());
     ASSERT_TRUE(doc->isArray());
-    ASSERT_EQ(doc->array.size(), 2u);
+    ASSERT_EQ(doc->array.size(), 3u);
+    bool odd_name = false;
     for (const auto &ev : doc->array) {
         ASSERT_TRUE(ev.isObject());
         ASSERT_NE(ev.find("name"), nullptr);
@@ -270,7 +273,11 @@ TEST(Tracer, ChromeTraceJsonHasRequiredFields)
         ASSERT_NE(ev.find("tid"), nullptr);
         EXPECT_GE(ev.find("ts")->number, 0.0);
         EXPECT_GE(ev.find("dur")->number, 0.0);
+        // The stray byte comes back as U+FFFD.
+        odd_name = odd_name ||
+                   ev.find("name")->str == "q\"b\\\n\xef\xbf\xbd";
     }
+    EXPECT_TRUE(odd_name);
 }
 
 TEST(Tracer, ResetForTestDropsEvents)

@@ -5,7 +5,7 @@
  * control-char/UTF-8 contract, the obs::Runtime flag bootstrap, and
  * the embedded HTTP server exercised over real sockets - including a
  * concurrent-scrape suite that TSan runs in CI against live counter
- * traffic and the flight recorder's refresh calls.
+ * traffic and per-worker pool stats publishing.
  */
 
 #include <arpa/inet.h>
@@ -31,7 +31,6 @@
 
 #include "exec/thread_pool.hh"
 #include "obs/export.hh"
-#include "obs/flight.hh"
 #include "obs/http.hh"
 #include "obs/json.hh"
 #include "obs/progress.hh"
@@ -359,8 +358,7 @@ TEST(ObsRuntime, StripsSharedFlagsAnywhere)
 {
     Argv args({"prog", "--trace", "t.json", "attack", "d.img",
                "--threads", "4",
-               "--stats-json", "s.json", "--serve-obs", "0", "tail",
-               "--flight-record", "f.json"});
+               "--stats-json", "s.json", "--serve-obs", "0", "tail"});
     Runtime runtime(args.argc, args.ptrs.data());
     EXPECT_EQ(runtime.error(), "");
     EXPECT_EQ(args.left(),
@@ -371,8 +369,7 @@ TEST(ObsRuntime, StripsSharedFlagsAnywhere)
 
 TEST(ObsRuntime, FlagMissingItsValueIsAUsageError)
 {
-    for (const char *flag : {"--stats-json", "--trace", "--serve-obs",
-                             "--flight-record"}) {
+    for (const char *flag : {"--stats-json", "--trace", "--serve-obs"}) {
         Argv args({"prog", "attack", flag});
         Runtime runtime(args.argc, args.ptrs.data());
         EXPECT_NE(runtime.error().find(flag), std::string::npos)
@@ -398,7 +395,6 @@ TEST(ObsRuntime, OnlyFlagsArmTheSinks)
         Runtime runtime(args.argc, args.ptrs.data());
         runtime.start(Runtime::OnSignal::Record);
         EXPECT_FALSE(tracer.enabled());
-        EXPECT_FALSE(FlightRecorder::global().enabled());
         ScopedSpan("runtime.unsinked").stop();
         EXPECT_EQ(tracer.eventCount(), 0u);
     }
@@ -635,12 +631,8 @@ TEST(ObsHttp, JsonEndpointsParse)
     ASSERT_NE(tree, nullptr);
     EXPECT_NE(tree->find("telemetry.test.json"), nullptr);
 
-    auto flight = httpRequest(fx.server->port(), "/flight");
-    ASSERT_EQ(flight.status, 200);
-    auto flight_doc = json::parse(flight.body);
-    ASSERT_TRUE(flight_doc.has_value());
-    EXPECT_NE(flight_doc->find("threads"), nullptr);
-    EXPECT_NE(flight_doc->find("stats"), nullptr);
+    // A retired endpoint answers like any unknown path.
+    EXPECT_EQ(httpRequest(fx.server->port(), "/flight").status, 404);
 
     auto progress = httpRequest(fx.server->port(), "/progress");
     ASSERT_EQ(progress.status, 200);
@@ -657,6 +649,54 @@ TEST(ObsHttp, JsonEndpointsParse)
     auto trace = httpRequest(fx.server->port(), "/trace");
     ASSERT_EQ(trace.status, 200);
     EXPECT_TRUE(json::parse(trace.body).has_value());
+}
+
+TEST(ObsHttp, HeadSendsHeadersOnly)
+{
+    ServerFixture fx;
+    // /stats stamps meta.wall_seconds per request, so its length may
+    // differ between two requests by that number's width.
+    const struct
+    {
+        const char *path;
+        double slack;
+    } cases[] = {{"/healthz", 0}, {"/stats", 24}};
+    for (const auto &c : cases) {
+        auto head = httpRequest(fx.server->port(), c.path, "HEAD");
+        auto get = httpRequest(fx.server->port(), c.path);
+        ASSERT_EQ(get.status, 200) << c.path;
+        EXPECT_EQ(head.status, 200) << c.path;
+        // Nothing follows the blank line that ends the headers.
+        EXPECT_EQ(head.raw.find("\r\n\r\n") + 4, head.raw.size())
+            << c.path;
+        // The Content-Length a GET carries.
+        const size_t at = head.raw.find("Content-Length: ");
+        ASSERT_NE(at, std::string::npos) << c.path;
+        EXPECT_NEAR(std::atof(head.raw.c_str() + at + 16),
+                    static_cast<double>(get.body.size()), c.slack)
+            << c.path;
+    }
+}
+
+TEST(ObsHttp, ScrapePublishesWorkerStats)
+{
+    // Pool work, then a bare server with no obs::Runtime: only the
+    // scrape itself can mirror the pool's per-worker counters.
+    exec::ThreadPool pool(3);
+    exec::ThreadPool::ScopedGlobalOverride as_global(pool);
+    std::atomic<uint64_t> sum{0};
+    exec::parallelForChunks(0, 1024, 16, [&](const exec::ChunkRange &r) {
+        sum.fetch_add(r.end - r.begin);
+    });
+    ASSERT_EQ(sum.load(), 1024u);
+    ServerFixture fx;
+    auto stats = httpRequest(fx.server->port(), "/stats");
+    ASSERT_EQ(stats.status, 200);
+    auto doc = json::parse(stats.body);
+    ASSERT_TRUE(doc.has_value());
+    const auto *tree = doc->find("stats");
+    ASSERT_NE(tree, nullptr);
+    EXPECT_NE(tree->find("exec.pool.worker.2.tasks_executed"), nullptr);
 }
 
 TEST(ObsHttp, QuitFlagAndStop)
@@ -730,16 +770,17 @@ TEST(TelemetryConcurrency, ScrapesRaceCountersAndRefresh)
     ASSERT_TRUE(server.start(&error)) << error;
     uint16_t port = server.port();
 
-    // Scrapers and the refresh task on a pool, mutators on the
-    // caller: every combination of {counter add, stats refresh, HTTP
-    // render} overlaps. The pool stands in for the global one, so the
-    // refresh reads the per-worker counters of a pool under load.
+    // Scrapers and a publishing task on a pool, mutators on the
+    // caller: every combination of {counter add, worker-stats
+    // publish, HTTP render} overlaps. The pool stands in for the
+    // global one, so both the task and the /metrics and /stats
+    // scrapes publish the per-worker counters of a pool under load.
     exec::ThreadPool pool(5);
     exec::ThreadPool::ScopedGlobalOverride as_global(pool);
     exec::ThreadPool::TaskGroup group(pool);
     std::atomic<int> bad{0};
     std::atomic<bool> mutating{true};
-    const char *paths[] = {"/metrics", "/stats", "/flight",
+    const char *paths[] = {"/metrics", "/stats", "/trace",
                            "/progress"};
     for (int t = 0; t < 4; ++t) {
         group.run([&, t] {
@@ -753,7 +794,6 @@ TEST(TelemetryConcurrency, ScrapesRaceCountersAndRefresh)
     group.run([&] {
         do {
             exec::ThreadPool::publishGlobalWorkerStats();
-            FlightRecorder::global().updateStatsSnapshot();
         } while (mutating.load());
     });
     auto job = ProgressTracker::global().startJob(
@@ -766,7 +806,7 @@ TEST(TelemetryConcurrency, ScrapesRaceCountersAndRefresh)
     group.wait();
     job->finish();
     EXPECT_EQ(bad.load(), 0);
-    // The refresh mirrored every worker of the stand-in pool.
+    // Publishing mirrored every worker of the stand-in pool.
     EXPECT_NE(StatRegistry::global().dumpJson().find(
                   "exec.pool.worker.4.tasks_executed"),
               std::string::npos);

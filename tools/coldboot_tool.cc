@@ -22,15 +22,12 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -45,7 +42,6 @@
 #include "crypto/xts.hh"
 #include "obs/runtime.hh"
 #include "obs/stats.hh"
-#include "obs/trace.hh"
 #include "dram/dram_module.hh"
 #include "platform/coldboot.hh"
 #include "platform/machine.hh"
@@ -73,10 +69,6 @@ usage()
         "  coldboot-tool info <dump.img>\n"
         "  coldboot-tool decrypt <volume.bin> <data_key_hex>"
         " <tweak_key_hex> <sector>\n"
-        "  coldboot-tool crash-test <dump.img> [abort]\n"
-        "                        sacrificial mode: raise a fatal\n"
-        "                        signal mid-mining-run to exercise\n"
-        "                        the flight recorder's post-mortem\n"
         "global flags (any command, any position):\n"
         "  --threads <n>         worker threads for parallel scans\n"
         "                        (default: COLDBOOT_THREADS or all"
@@ -277,42 +269,6 @@ cmdDescramble(Args args)
     return 0;
 }
 
-/**
- * Sacrificial crash-forensics mode: start a real mining sweep on the
- * global pool, give it a moment to leave span/progress breadcrumbs
- * in the flight rings and to outlast one stats refresh
- * (obs::Runtime::refreshPeriod), then die by SIGSEGV (or SIGABRT
- * with "abort") through an actual signal - the way a wild pointer
- * would - so CI can validate the post-mortem dump end to end. Does
- * not return on success: the crash handler writes the dump and the
- * process dies with the original signal.
- */
-int
-cmdCrashTest(Args args)
-{
-    const bool use_abort = args.size() == 2 && args[1] == "abort";
-    if (use_abort)
-        args.pop_back();
-    if (!fitsUsage(args, 1, 1))
-        return usage();
-    const int sig = use_abort ? SIGABRT : SIGSEGV;
-    auto dump = exec::openDumpSource(args[0], g_dump_backend);
-    exec::ThreadPool::TaskGroup group(exec::ThreadPool::global());
-    group.run([&] {
-        obs::ScopedSpan span("crash_test.mine");
-        attack::mineScramblerKeys(*dump, {});
-    });
-    std::this_thread::sleep_for(obs::Runtime::refreshPeriod +
-                                std::chrono::milliseconds(150));
-    // The warning both tells an onlooker this death is intentional
-    // and (via the log hook) guarantees the crashing thread owns a
-    // flight ring with at least one event in it.
-    cb_warn("crash-test: raising signal %d mid-run", sig);
-    std::raise(sig);
-    group.wait();
-    return 1; // not reached: the re-raised signal kills the process
-}
-
 int
 cmdInfo(Args args)
 {
@@ -429,7 +385,6 @@ main(int argc, char **argv)
         {"descramble", cmdDescramble},
         {"info", cmdInfo},
         {"decrypt", cmdDecrypt},
-        {"crash-test", cmdCrashTest},
     };
     auto cmd = args.empty() ? commands.end() : commands.find(args[0]);
     if (cmd == commands.end())
